@@ -9,41 +9,19 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import (
-    football_density_closed_form,
-    football_offdiagonal_closed_form,
-)
+from .bergman import _log_terms, football_density_closed_form
 from .errors import ModelSpecError, NoiseFloorError, UnsupportedModelError
 from .groups import GroupAction, is_invariant
 from .index import b_coefficient
 from .models import OrbifoldModel
 from .quadrature import QuadratureRule, integrate_radial
-from .sections import RadialBump, SectionSpace, build_perturbed_space, build_section_space
+from .sections import RadialBump, build_perturbed_space
 
 NOISE_FLOOR = 1e-14
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ORBK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _sweep(fn, ms):
-    """Evaluate fn over the m-range, optionally in parallel, keyed by m."""
-    workers = worker_count()
-    if workers == 1:
-        return {m: fn(m) for m in ms}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(fn, ms))
-    return dict(zip(ms, results))
 
 
 @dataclass
@@ -156,9 +134,7 @@ def pair_with_test_function(
     Computes int (rho_m - (m+1)) phi dV over the singular chart per m and
     Richardson-extrapolates the limit in 1/m; the reference is b * phi(0).
     """
-    if model.kind != "football":
-        raise UnsupportedModelError("pairing implemented for footballs")
-    n = model.params["n"]
+    n = model.football_order()
     if n < 2:
         raise UnsupportedModelError("smooth model has no singular part")
     point = model.singular_point(chart_id)
@@ -177,7 +153,7 @@ def pair_with_test_function(
 
         return integrate_radial(f, rule)
 
-    values = _sweep(value, list(ms))
+    values = {m: value(m) for m in ms}
     ms_sorted = sorted(values)
     vals = [values[m] for m in ms_sorted]
     if len(vals) >= 2:
@@ -204,31 +180,21 @@ def recover_potential(
     """sup-norm curve of |phi - (1/m) log(rho~_m / (m+1))| over a chart grid.
 
     rho~ is the density of the phi-perturbed orthonormal basis measured with
-    the unperturbed metric h.
+    the unperturbed metric h.  The grid holds values of the radial variable t
+    of chart u0 (|z|^2 on a football).
     """
-    if model.kind != "football":
-        raise UnsupportedModelError("potential recovery implemented for footballs")
-    n = model.params["n"]
     if grid is None:
         grid = np.linspace(0.0, 10.0, 200)
+    t = np.asarray(grid, dtype=float)
+    target = phi.value(t)
 
     def sup_for(m):
-        space = build_perturbed_space(model, m, phi)
-        lg = np.asarray(space.log_gram_diag)
-        exps = np.array([b for _, b in space.basis], dtype=float)
-        u = np.asarray(grid, dtype=float)
-        lu = np.log(np.maximum(u, 1e-300))  # exp(b*lu) underflows cleanly at u=0
-        logs = (
-            exps[:, None] * lu[None, :]
-            - m * np.log1p(u)[None, :]
-            - lg[:, None]
-        )
+        logs = _log_terms(build_perturbed_space(model, m, phi), t)
         mx = np.max(logs, axis=0)
         rho_log = mx + np.log(np.sum(np.exp(logs - mx[None, :]), axis=0))
-        target = phi.value(u)
         return float(np.max(np.abs(target - (rho_log - math.log(m + 1)) / m)))
 
-    return dict(sorted(_sweep(sup_for, list(ms)).items()))
+    return {m: sup_for(m) for m in sorted(ms)}
 
 
 def lower_bound_scan(
@@ -237,9 +203,7 @@ def lower_bound_scan(
     grid: np.ndarray | None = None,
 ) -> tuple[dict[int, float], float]:
     """Per-m minimum of rho_m / (m+1)^dim over the grid, and the overall inf."""
-    if model.kind != "football":
-        raise UnsupportedModelError("lower-bound scan implemented for footballs")
-    n = model.params["n"]
+    n = model.football_order()
     if grid is None:
         grid = np.linspace(0.0, 10.0, 200)
 
@@ -250,7 +214,7 @@ def lower_bound_scan(
         ]
         return min(vals)
 
-    mins = dict(sorted(_sweep(min_for, list(ms)).items()))
+    mins = {m: min_for(m) for m in sorted(ms)}
     return mins, min(mins.values())
 
 

@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedModelError, QuadratureError
+from .errors import QuadratureError
 from .models import OrbifoldModel, geodesic_distance_proxy
-from .sections import SectionSpace
+from .quadrature import integrate_radial
+from .sections import SectionSpace, _perturbed_radial_density
 
 
 @dataclass
@@ -27,33 +28,34 @@ class DensitySample:
 
 
 def density(space: SectionSpace, z: complex, chart_id: str = "u0") -> float:
-    """sum_i a(z)^m |f_i(z)|^2 over the orthonormalized basis."""
-    model = space.model
+    """sum_i a(z)^m |f_i(z)|^2 over the orthonormalized basis, in the given chart."""
+    chart = space.model.chart(chart_id)
     m = space.power
     lg = np.asarray(space.log_gram_diag)
+    exps = np.array([a[chart.fibre_index] for a in space.basis], dtype=float)
     u = abs(z) ** 2
-    if model.kind == "football":
-        exps = np.array(
-            [(b if chart_id == "u0" else a) for a, b in space.basis], dtype=float
-        )
-    elif model.kind == "wpl":
-        if chart_id != "u0":
-            raise UnsupportedModelError("wpl density implemented on chart u0")
-        d0, d1 = model.params["d"]
-        t = u ** (1.0 / d1)
-        exps = np.array([b for _, b in space.basis], dtype=float)
-        if u == 0.0:
-            logs = np.where(exps == 0, -lg, -np.inf)
-        else:
-            logs = exps * math.log(u) - m * math.log1p(t) - lg
-        return float(np.sum(np.exp(logs)))
-    else:
-        raise UnsupportedModelError(f"density undefined for kind {model.kind!r}")
+    # scalar math.log/log1p, not the numpy ones of _log_terms: they differ in
+    # the last bit, and density reports are compared byte for byte
     if u == 0.0:
         logs = np.where(exps == 0, -lg, -np.inf)
     else:
-        logs = exps * math.log(u) - m * math.log1p(u) - lg
+        logs = exps * math.log(u) - m * math.log1p(u ** (1.0 / chart.root)) - lg
     return float(np.sum(np.exp(logs)))
+
+
+def _log_terms(space: SectionSpace, t) -> np.ndarray:
+    """log a^m |f_i|^2 of each orthonormal section (rows) at the radial
+    variable t of chart u0 (columns)."""
+    chart = space.model.charts[0]
+    exps = np.array([a[chart.fibre_index] * chart.root for a in space.basis],
+                    dtype=float)
+    lg = np.asarray(space.log_gram_diag)
+    lt = np.log(np.maximum(t, 1e-300))  # exp(e*lt) underflows cleanly at t=0
+    return (
+        exps[:, None] * lt[None, :]
+        - space.power * np.log1p(t)[None, :]
+        - lg[:, None]
+    )
 
 
 def football_density_closed_form(n: int, m: int, r: float) -> float:
@@ -86,9 +88,7 @@ def football_offdiagonal_closed_form(n: int, m: int, r: float) -> float:
 
 def split_density(space: SectionSpace, z: complex) -> tuple[float, float]:
     """(diagonal, off-diagonal) parts; diagonal is the smooth m+1 term."""
-    if space.model.kind != "football":
-        raise UnsupportedModelError("split implemented for footballs")
-    n = space.model.params["n"]
+    n = space.model.football_order()
     m = space.power
     r = abs(z) ** 2
     diag = float(m + 1)
@@ -104,24 +104,15 @@ def density_sweep(
     power: int,
     points: list[complex],
     chart_id: str = "u0",
-    use_closed_form: bool = True,
-    space: SectionSpace | None = None,
 ) -> DensitySample:
-    """Evaluate the density on a set of chart points."""
+    """Closed-form density and its split on a set of chart points."""
+    n = model.football_order()
     values = []
     split = []
-    n = model.params.get("n")
     for z in points:
         u = abs(z) ** 2
-        if use_closed_form and model.kind == "football":
-            v = football_density_closed_form(n, power, u)
-            split.append((float(power + 1), football_offdiagonal_closed_form(n, power, u)))
-        else:
-            if space is None:
-                raise ValueError("space required when not using the closed form")
-            v = density(space, z, chart_id)
-            split.append((float(power + 1), v - (power + 1)))
-        values.append(v)
+        values.append(football_density_closed_form(n, power, u))
+        split.append((float(power + 1), football_offdiagonal_closed_form(n, power, u)))
     return DensitySample(
         model=model,
         power=power,
@@ -151,9 +142,7 @@ def metric_pullback_deviation(
     Returns (r_proxy, deviation) pairs.  d d-bar is a quarter Laplacian in the
     chart coordinates; the 5-point stencil is evaluated at steps h and h/2.
     """
-    if space.model.kind != "football":
-        raise UnsupportedModelError("pullback deviation implemented for footballs")
-    n = space.model.params["n"]
+    n = space.model.football_order()
     m = space.power
 
     def lap(x, y, step):
@@ -179,33 +168,12 @@ def metric_pullback_deviation(
 
 def integrated_density(space: SectionSpace) -> float:
     """Integral of rho over the model; equals dim H^0 by the trace identity."""
-    from .quadrature import integrate_radial
+    # the unperturbed trace identity uses the unperturbed volume
+    q = space.model.quotient_order
 
-    model = space.model
-    if model.kind != "football":
-        raise UnsupportedModelError("trace integral implemented for footballs")
-    n = model.params["n"]
-    m = space.power
-    lg = np.asarray(space.log_gram_diag)
-    exps = np.array([b for _, b in space.basis], dtype=float)
-
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        lu = np.log(np.maximum(u, 1e-300))
-        terms = np.exp(
-            exps[:, None] * lu[None, :]
-            - m * np.log1p(u)[None, :]
-            - lg[:, None]
-        )
-        dens = _radial_weight(space, u)
-        return np.sum(terms, axis=0) * dens
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        terms = np.exp(_log_terms(space, t))
+        return np.sum(terms, axis=0) * (_perturbed_radial_density(t, None) / q)
 
     return integrate_radial(f)
-
-
-def _radial_weight(space: SectionSpace, u):
-    from .sections import _perturbed_radial_density
-
-    n = space.model.params["n"]
-    # unperturbed trace identity uses the unperturbed volume
-    return _perturbed_radial_density(u, None) / n

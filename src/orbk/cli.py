@@ -31,7 +31,7 @@ from .bergman import (
     football_density_closed_form,
     metric_pullback_deviation,
 )
-from .errors import NoiseFloorError, OrbkError
+from .errors import NoiseFloorError, OrbkError, UnsupportedModelError
 from .groups import GroupAction
 from .index import b_coefficient, rrk_euler_characteristic
 from .localmodel import ModelGrid, check_identities, default_suite, phase_critical_data
@@ -94,6 +94,24 @@ def _parse_mrange(text: str) -> list[int]:
         _fail_field("m", f"cannot parse range {text!r}")
     if not ms:
         _fail_field("m", f"empty range {text!r}")
+    return ms
+
+
+def _degrees(model: OrbifoldModel, text: str, round_down: bool = False) -> list[int]:
+    """The degrees of a range that are multiples of the bundle step.
+
+    Other degrees are dropped, or with round_down replaced by the multiple
+    below them; then only positive degrees are kept, once each, in order.
+    """
+    step = model.bundle_step
+    ms = _parse_mrange(text)
+    if round_down:
+        ms = sorted({m - m % step for m in ms if m - m % step > 0})
+    else:
+        ms = [m for m in ms if m % step == 0]
+    if not ms:
+        _fail_field("m", f"no {'positive ' if round_down else ''}multiple of "
+                         f"the bundle step {step} in {text!r}")
     return ms
 
 
@@ -192,7 +210,18 @@ def output_options(f):
     return f
 
 
-@click.group()
+class _Checks(click.Group):
+    """The subcommands, with one error boundary: an operation the model does
+    not support ends as `FAIL model: <message>`, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except UnsupportedModelError as exc:
+            _fail_field("model", str(exc))
+
+
+@click.group(cls=_Checks)
 def main():
     """Orbifold Bergman kernel verification toolkit."""
 
@@ -208,13 +237,12 @@ def cmd_density(model_spec, n, mrange, r, tol, out, fmt, config_path, gnuplot):
     params = _apply_config(config_path, {
         "model": model_spec, "n": n, "m": mrange, "r": r, "tol": tol})
     model = _load_model(params["model"], params["n"])
-    if model.kind != "football":
-        _fail_field("model", "density subcommand expects a football model")
+    nq = model.football_order()
     rows, ok = [], True
     for m in _parse_mrange(str(params["m"])):
         if m % model.bundle_step:
             _fail_field("m", f"{m} is not a multiple of {model.bundle_step}")
-        closed = football_density_closed_form(model.params["n"], m, params["r"])
+        closed = football_density_closed_form(nq, m, params["r"])
         space = build_section_space(model, m)
         gram = density(space, complex(math.sqrt(params["r"])))
         rel = abs(gram - closed) / abs(closed)
@@ -268,10 +296,8 @@ def cmd_fit(model_spec, n, mrange, r, tol_a0, tol_a1, out, fmt, config_path,
         "model": model_spec, "n": n, "m": mrange, "r": r,
         "tol_a0": tol_a0, "tol_a1": tol_a1})
     model = _load_model(params["model"], params["n"])
-    nq = model.params["n"]
-    ms = [m for m in _parse_mrange(str(params["m"])) if m % nq == 0]
-    if not ms:
-        _fail_field("m", "no multiples of the bundle step in range")
+    nq = model.football_order()
+    ms = _degrees(model, str(params["m"]))
     rhos = [football_density_closed_form(nq, m, params["r"]) for m in ms]
     fit = fit_expansion(ms, rhos, dim=model.dim, terms=2, r_proxy=params["r"])
     a0, a1 = fit.coefficients
@@ -300,8 +326,8 @@ def cmd_decay(model_spec, n, mrange, r, r2_min, out, fmt, config_path, gnuplot):
     params = _apply_config(config_path, {
         "model": model_spec, "n": n, "m": mrange, "r": r, "r2_min": r2_min})
     model = _load_model(params["model"], params["n"])
-    nq = model.params["n"]
-    ms = [m for m in _parse_mrange(str(params["m"])) if m % nq == 0]
+    nq = model.football_order()
+    ms = _degrees(model, str(params["m"]))
     rhos = [football_density_closed_form(nq, m, params["r"]) for m in ms]
     try:
         fit = fit_decay_rate(ms, rhos, params["r"])
@@ -337,9 +363,7 @@ def cmd_pairing(model_spec, n, mrange, amplitude, width, tol, out, fmt,
         "model": model_spec, "n": n, "m": mrange, "amplitude": amplitude,
         "width": width, "tol": tol})
     model = _load_model(params["model"], params["n"])
-    nq = model.params["n"]
-    ms = [m - (m % nq) for m in _parse_mrange(str(params["m"]))]
-    ms = sorted({m for m in ms if m > 0})
+    ms = _degrees(model, str(params["m"]), round_down=True)
     phi = RadialBump(params["amplitude"], 0.0, params["width"])
     result = pair_with_test_function(model, ms, phi)
     rel = abs(result.limit - result.reference) / abs(result.reference)
@@ -446,9 +470,7 @@ def cmd_recover(model_spec, n, mrange, amplitude, center, width, tol, out,
         "model": model_spec, "n": n, "m": mrange, "amplitude": amplitude,
         "center": center, "width": width, "tol": tol})
     model = _load_model(params["model"], params["n"])
-    nq = model.params["n"]
-    ms = sorted({m - (m % nq) for m in _parse_mrange(str(params["m"]))})
-    ms = [m for m in ms if m > 0]
+    ms = _degrees(model, str(params["m"]), round_down=True)
     phi = RadialBump(params["amplitude"], params["center"], params["width"])
     curve = recover_potential(model, phi, ms)
     values = [curve[m] for m in ms]
@@ -471,8 +493,7 @@ def cmd_lowerbound(model_spec, n, mrange, out, fmt, config_path, gnuplot):
     params = _apply_config(config_path, {"model": model_spec, "n": n,
                                          "m": mrange})
     model = _load_model(params["model"], params["n"])
-    nq = model.params["n"]
-    ms = [m for m in _parse_mrange(str(params["m"])) if m % nq == 0]
+    ms = _degrees(model, str(params["m"]))
     mins, overall = lower_bound_scan(model, ms)
     ok = overall > 0
     rows = _rows_with_power(model, [
@@ -498,9 +519,9 @@ def cmd_pullback(model_spec, n, m, r_min, r_max, points, ratio_max, out, fmt,
         "model": model_spec, "n": n, "m": m, "r_min": r_min, "r_max": r_max,
         "points": points, "ratio_max": ratio_max})
     model = _load_model(params["model"], params["n"])
-    nq = model.params["n"]
-    if params["m"] % nq:
-        _fail_field("m", f"{params['m']} is not a multiple of {nq}")
+    step = model.bundle_step
+    if params["m"] % step:
+        _fail_field("m", f"{params['m']} is not a multiple of {step}")
     zs = [complex(math.sqrt(r)) for r in
           np.linspace(params["r_min"], params["r_max"], params["points"])]
     rows = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelSpecError, UnsupportedModelError
-from .groups import GroupAction, invariant_monomials
+from .groups import GroupAction
 from .models import OrbifoldModel, SingularPoint
 
 
@@ -166,33 +166,16 @@ def point_correction(point: SingularPoint, m: int) -> CorrectionRecord:
     )
 
 
-def _dimension_oracle(model: OrbifoldModel, m: int) -> int:
-    if model.kind == "football":
-        n = model.params["n"]
-        action = GroupAction.cyclic(n, [1, 0]) if n >= 2 else GroupAction.trivial(2)
-        return len(invariant_monomials(action, m))
-    if model.kind == "wpl":
-        d0, d1 = model.params["d"]
-        return len(invariant_monomials(GroupAction.trivial(2), m, weights=(d0, d1)))
-    raise UnsupportedModelError(f"no dimension oracle for kind {model.kind!r}")
-
-
 def rrk_euler_characteristic(model: OrbifoldModel, m: int) -> IndexReport:
     """deg_orb + chi_orb/2 plus the equivariant singular corrections.
 
-    The total must reproduce the monomial-count dimension exactly; the caller
-    is expected to treat any mismatch as a hard failure.
+    deg_orb = m/q and chi_orb = sum over charts of 1/|G_chart|.  The total
+    must reproduce the section count of the basis rule exactly; the caller is
+    expected to treat any mismatch as a hard failure.
     """
-    if model.kind == "football":
-        n = model.params["n"]
-        deg = Fraction(m, n)
-        chi = Fraction(2, n)
-    elif model.kind == "wpl":
-        d0, d1 = model.params["d"]
-        deg = Fraction(m, d0 * d1)
-        chi = Fraction(1, d0) + Fraction(1, d1)
-    else:
-        raise UnsupportedModelError(f"RRK implemented for catalog curves only")
+    oracle = len(model.section_basis(m))
+    deg = Fraction(m, model.quotient_order)
+    chi = sum((Fraction(1, c.group.order) for c in model.charts), Fraction(0))
     smooth = deg + chi / 2
     corrections = tuple(point_correction(p, m) for p in model.singular_points)
     total = smooth + sum((c.exact for c in corrections), Fraction(0))
@@ -202,7 +185,7 @@ def rrk_euler_characteristic(model: OrbifoldModel, m: int) -> IndexReport:
         smooth_part=smooth,
         corrections=corrections,
         total=total,
-        dimension_oracle=_dimension_oracle(model, m),
+        dimension_oracle=oracle,
     )
 
 

@@ -1,11 +1,17 @@
 """Catalog of orbifold models: footballs, weighted projective lines, cones.
 
-Each model carries a chart atlas with explicit metric data and exact records
-of its isolated quotient singularities.  Singular points store, per structure
-group generator power k, the tangent rotation t*k/d and the fiber rotation
-f*m*k/d of the degree-m bundle frame; the fiber exponent f is -1 at charts
-whose frame monomial only exists when d | m, and 0 where the group leaves the
-frame coordinate untouched.
+Footballs CP^1 / mu_n and weighted projective lines P(d0, d1) are toric
+orbifold curves.  Each is described once, by data the numerics read: the
+section basis rule, the quotient order q with total volume 1/q, and per
+chart the radial variable t, the basis exponent the chart frame reads and the
+chart group.  In t the volume is (1+t)^-2 dt / q and the degree-m weight of
+the basis monomial read as t^e is t^e (1+t)^-m, on every model.
+
+Singular points store exact records of the isolated quotient singularities:
+per structure group generator power k, the tangent rotation t*k/d and the
+fiber rotation f*m*k/d of the degree-m bundle frame; the fiber exponent f is
+-1 at charts whose frame monomial only exists when d | m, and 0 where the
+group leaves the frame coordinate untouched.
 """
 
 from __future__ import annotations
@@ -13,30 +19,27 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from .errors import ModelSpecError, UnsupportedModelError
-from .groups import GroupAction
+from .groups import GroupAction, invariant_monomials
 
 
 @dataclass(frozen=True)
 class Chart:
-    """Affine chart on a uniformization, with metric and volume data.
+    """Affine chart of a toric orbifold curve, as the numerics read it.
 
-    metric_potential is the fiber metric a(z) of the ample generator in the
-    local frame; radial_measure(u) is the density in u = |z|^2 of the quotient
-    volume form (angular average already taken), so that the integral of a
-    radial function over the model is integrate_radial(f * radial_measure).
+    With u = |z|^2 in the chart coordinate z, the radial variable is
+    t = u ** (1 / root).  The basis monomial a restricts to the chart frame
+    as z^a[fibre_index], that is t^(a[fibre_index] * root).  folds_measure
+    says how the unperturbed norm integrand is evaluated (see
+    sections._log_norm); it does not change the integral.
     """
 
     id: str
-    structure_group: GroupAction
-    metric_potential: Callable[[np.ndarray], np.ndarray]
-    kahler_potential: Callable[[np.ndarray], np.ndarray]
-    volume_density: Callable[[np.ndarray], np.ndarray]
-    radial_measure: Callable[[np.ndarray], np.ndarray]
+    group: GroupAction
+    root: int
+    fibre_index: int
+    folds_measure: bool
 
 
 @dataclass(frozen=True)
@@ -60,12 +63,19 @@ class SingularPoint:
 
 @dataclass(frozen=True)
 class OrbifoldModel:
+    """A catalog model.  The curves carry charts, the basis rule (sections of
+    degree m are the monomials of weighted degree m invariant under
+    basis_action) and the quotient order; the cone has neither."""
+
     kind: str  # "football" | "wpl" | "cone"
     dim: int
     bundle_step: int
     charts: tuple[Chart, ...]
     singular_points: tuple[SingularPoint, ...]
     params: dict = field(default_factory=dict)
+    basis_action: GroupAction | None = None
+    degree_weights: tuple[int, ...] = (1, 1)
+    quotient_order: int | None = None
 
     def chart(self, chart_id: str) -> Chart:
         for c in self.charts:
@@ -79,119 +89,79 @@ class OrbifoldModel:
                 return p
         return None
 
+    def section_basis(self, m: int) -> list[tuple[int, ...]]:
+        """Exponents of the monomial basis of the degree-m sections."""
+        if self.basis_action is None:
+            raise UnsupportedModelError(f"no global sections on a {self.kind}")
+        return invariant_monomials(self.basis_action, m, weights=self.degree_weights)
 
-def _fs_chart(chart_id: str, group: GroupAction, quotient_order: int) -> Chart:
-    """Fubini-Study chart data on a branch of CP^1 / mu_n."""
-    return Chart(
-        id=chart_id,
-        structure_group=group,
-        metric_potential=lambda u: 1.0 / (1.0 + u),
-        kahler_potential=lambda u: np.log1p(u),
-        volume_density=lambda u: 1.0 / (np.pi * (1.0 + u) ** 2),
-        radial_measure=lambda u, q=quotient_order: 1.0 / (q * (1.0 + u) ** 2),
-    )
-
-
-def _wpl_chart(chart_id: str, d_here: int, d_other: int) -> Chart:
-    """Chart i of P(d0, d1) with the torus-invariant weighted potential.
-
-    Slice coordinate w (Z_i = 1); t = |w|^(2/d_other); the residual group
-    mu_{d_here} rotates w.  The quotient radial measure in u = |w|^2 is
-    (1/(d0 d1)) (1+t)^-2 dt/du.
-    """
-    group = GroupAction.cyclic(d_here, [d_other % d_here]) if d_here > 1 else GroupAction.trivial(1)
-    dd = d_here * d_other
-    p = 1.0 / d_other
-
-    def tval(u):
-        return np.power(u, p)
-
-    def radial_measure(u):
-        u = np.asarray(u, dtype=float)
-        t = tval(u)
-        with np.errstate(divide="ignore"):
-            dtdu = np.where(u > 0, p * t / np.where(u > 0, u, 1.0), np.inf)
-        return dtdu / (dd * (1.0 + t) ** 2)
-
-    return Chart(
-        id=chart_id,
-        structure_group=group,
-        metric_potential=lambda u: 1.0 / (1.0 + tval(u)),
-        kahler_potential=lambda u: np.log1p(tval(u)),
-        volume_density=lambda u: radial_measure(u) / np.pi,
-        radial_measure=radial_measure,
-    )
+    def football_order(self) -> int:
+        """n of the football CP^1 / mu_n, which the closed forms need."""
+        if self.kind != "football":
+            raise UnsupportedModelError(
+                f"closed forms are known on footballs only, not on a {self.kind}")
+        return self.params["n"]
 
 
 def build_football(n: int) -> OrbifoldModel:
     """CP^1 / mu_n with two cyclic singular points and the FS metric."""
     if n <= 0:
         raise ModelSpecError("football order must be positive")
-    singular = []
+    group = GroupAction.cyclic(n, [1])
+    singular = ()
     if n >= 2:
-        action = GroupAction.cyclic(n, [1])
         # chart u0 holds [1,0]; its frame Z_0^m carries fiber exponent -1,
         # chart u1 holds [0,1]; its frame Z_1^m is untouched by the group.
-        singular = [
-            SingularPoint("u0", n, (1,), n - 1, action),
-            SingularPoint("u1", n, (1,), 0, action),
-        ]
-    group = GroupAction.cyclic(n, [1]) if n >= 2 else GroupAction.trivial(1)
-    charts = (_fs_chart("u0", group, n), _fs_chart("u1", group, n))
+        singular = (
+            SingularPoint("u0", n, (1,), n - 1, group),
+            SingularPoint("u1", n, (1,), 0, group),
+        )
     return OrbifoldModel(
         kind="football",
         dim=1,
         bundle_step=n,
-        charts=charts,
-        singular_points=tuple(singular),
+        charts=(Chart("u0", group, 1, 1, False), Chart("u1", group, 1, 0, False)),
+        singular_points=singular,
         params={"n": n},
+        basis_action=GroupAction.cyclic(n, [1, 0]),
+        quotient_order=n,
     )
 
 
 def build_wpl(d0: int, d1: int) -> OrbifoldModel:
-    """Weighted projective line P(d0, d1), gcd(d0, d1) = 1."""
+    """Weighted projective line P(d0, d1), gcd(d0, d1) = 1.
+
+    Chart u_i is the slice Z_i = 1 with coordinate w and t = |w|^(2/d_other);
+    the residual group mu_{d_i} rotates w.
+    """
     if d0 <= 0 or d1 <= 0:
         raise ModelSpecError("weights must be positive")
     if math.gcd(d0, d1) != 1:
         raise ModelSpecError("gcd(d0, d1) != 1: non-isolated or non-reduced")
-    singular = []
+    charts, singular = [], []
     for i, (dh, do) in enumerate(((d0, d1), (d1, d0))):
+        group = GroupAction.cyclic(dh, [do % dh])
+        charts.append(Chart(f"u{i}", group, do, 1 - i, True))
         if dh > 1:
-            singular.append(
-                SingularPoint(
-                    chart_id=f"u{i}",
-                    group_order=dh,
-                    tangent_weights=(do % dh,),
-                    fiber_weight=dh - 1,
-                    action=GroupAction.cyclic(dh, [do % dh]),
-                )
-            )
-    charts = (_wpl_chart("u0", d0, d1), _wpl_chart("u1", d1, d0))
+            singular.append(SingularPoint(f"u{i}", dh, (do % dh,), dh - 1, group))
     return OrbifoldModel(
         kind="wpl",
         dim=1,
         bundle_step=1,
-        charts=charts,
+        charts=tuple(charts),
         singular_points=tuple(singular),
         params={"d": [d0, d1]},
+        basis_action=GroupAction.trivial(2),
+        degree_weights=(d0, d1),
+        quotient_order=d0 * d1,
     )
 
 
 def build_cone(action: GroupAction) -> OrbifoldModel:
-    """Local model C^n / G with a flat Bargmann-type chart."""
+    """Local model C^n / G: its singular point, no global sections."""
     for g in range(1, action.order):
         if any(t == 0 for t in action.elements[g]):
             raise ModelSpecError("action has a fixed direction: singularity not isolated")
-    n = action.dim
-    chart = Chart(
-        id="u0",
-        structure_group=action,
-        metric_potential=lambda u: np.exp(-np.asarray(u, dtype=float)),
-        kahler_potential=lambda u: np.asarray(u, dtype=float),
-        volume_density=lambda u: np.full_like(np.asarray(u, dtype=float), np.pi ** (-n)),
-        radial_measure=lambda u: np.asarray(u, dtype=float) ** (n - 1)
-        / (action.order * math.factorial(n - 1)),
-    )
     point = SingularPoint(
         chart_id="u0",
         group_order=action.order,
@@ -201,9 +171,9 @@ def build_cone(action: GroupAction) -> OrbifoldModel:
     ) if action.order > 1 else None
     return OrbifoldModel(
         kind="cone",
-        dim=n,
+        dim=action.dim,
         bundle_step=1,
-        charts=(chart,),
+        charts=(),
         singular_points=(point,) if point else (),
         params={"order": action.order},
     )

@@ -10,16 +10,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import IllConditionedBasisError, ModelSpecError, UnsupportedModelError
-from .groups import GroupAction, invariant_monomials
+from .errors import IllConditionedBasisError, ModelSpecError
 from .models import OrbifoldModel
-from .quadrature import QuadratureRule, integrate_radial
-
-CONDITION_LIMIT = 1e12
+from .quadrature import QuadratureRule, integrate_polar, integrate_radial
 
 
 @dataclass(frozen=True)
@@ -60,31 +56,13 @@ class RadialBump:
         return self.center + self.width
 
 
-@dataclass(frozen=True)
-class PerturbedMetric:
-    """Kahler potential perturbation phi with its sampled positivity margin."""
-
-    phi: RadialBump
-    margin: float
-
-    @classmethod
-    def from_bump(cls, phi: RadialBump, u_max: float = 50.0) -> "PerturbedMetric":
-        u = np.linspace(0.0, u_max, 4001)
-        margin = float(np.min(_perturbed_radial_density(u, phi)))
-        if margin <= 0.0:
-            raise ModelSpecError(
-                f"perturbed form not positive: margin {margin:.3e}"
-            )
-        return cls(phi=phi, margin=margin)
-
-
-def _perturbed_radial_density(u, phi: RadialBump | None):
-    """Density in u of the (perturbed) Kahler form on an FS chart: d/du[u d(log(1+u)+phi)/du]."""
-    u = np.asarray(u, dtype=float)
-    base = 1.0 / (1.0 + u) ** 2
+def _perturbed_radial_density(t, phi: RadialBump | None):
+    """Density in t of the (perturbed) Kahler form: d/dt[t d(log(1+t)+phi)/dt]."""
+    t = np.asarray(t, dtype=float)
+    base = 1.0 / (1.0 + t) ** 2
     if phi is None:
         return base
-    return base + phi.derivative(u) + u * phi.second_derivative(u)
+    return base + phi.derivative(t) + t * phi.second_derivative(t)
 
 
 @dataclass(frozen=True)
@@ -140,28 +118,30 @@ def _log_integral(log_f, rule: QuadratureRule | None = None,
     return shift + math.log(integrate_radial(f, rule, breakpoints=breakpoints))
 
 
-def _football_basis(n: int, m: int) -> list[tuple[int, int]]:
-    action = GroupAction.cyclic(n, [1, 0]) if n >= 2 else GroupAction.trivial(2)
-    return invariant_monomials(action, m)
+def _log_norm(model: OrbifoldModel, m: int, e: int, phi: RadialBump | None,
+              rule: QuadratureRule | None) -> float:
+    """log norm^2 of the degree-m basis monomial read as t^e on chart u0.
 
+    The integrand is t^e (1+t)^-m e^{-m phi(t)} against the (perturbed) volume
+    density in t, over the quotient order q.
+    """
+    # The chart picks one of two float orderings of this integrand, the one
+    # its model has always used: which Gram builds near the top degrees
+    # converge depends on the integrand's last bit.  Merging the two waits for
+    # the peak-aware Gram quadrature, which replaces this integrand.
+    fold = model.charts[0].folds_measure and phi is None
+    weight = m + 2 if fold else m
+    log_q = math.log(model.quotient_order)
 
-def _football_log_norm(n: int, m: int, b: int, phi: RadialBump | None,
-                       rule: QuadratureRule | None) -> float:
-    """log norm^2 of the chart-u0 monomial z^b of degree m, weight e^{-m phi}."""
-
-    def log_f(u):
-        u = np.asarray(u, dtype=float)
-        if b > 0:
-            lf = np.where(
-                u > 0, b * np.log(np.maximum(u, 1e-300)) - m * np.log1p(u), -np.inf
-            )
-        else:
-            lf = -m * np.log1p(u)
+    def log_f(t):
+        t = np.asarray(t, dtype=float)
+        lf = e * np.log(t) - weight * np.log1p(t)
         if phi is not None:
-            lf = lf - m * phi.value(u)
-        dens = _perturbed_radial_density(u, phi)
-        # density can only vanish on a null set; clamp for the log
-        return lf + np.log(np.maximum(dens, 1e-300)) - math.log(n)
+            lf = lf - m * phi.value(t)
+        if not fold:
+            # density can only vanish on a null set; clamp for the log
+            lf = lf + np.log(np.maximum(_perturbed_radial_density(t, phi), 1e-300))
+        return lf - log_q
 
     breaks = ()
     if phi is not None:
@@ -169,23 +149,6 @@ def _football_log_norm(n: int, m: int, b: int, phi: RadialBump | None,
             b for b in (phi.center - phi.width, phi.center + phi.width) if b > 0
         )
     return _log_integral(log_f, rule, breakpoints=breaks)
-
-
-def _wpl_log_norm(d0: int, d1: int, m: int, b: int, rule: QuadratureRule | None) -> float:
-    """log norm^2 of Z_0^a Z_1^b on P(d0, d1), integrated in t = |w|^(2/d1)."""
-    e = b * d1
-
-    def log_f(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            lt = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), -np.inf)
-        if e > 0:
-            lf = np.where(t > 0, e * lt, -np.inf)
-        else:
-            lf = np.zeros_like(t)
-        return lf - (m + 2) * np.log1p(t) - math.log(d0 * d1)
-
-    return _log_integral(log_f, rule)
 
 
 def build_section_space(
@@ -204,35 +167,30 @@ def build_perturbed_space(
     rule: QuadratureRule | None = None,
 ) -> SectionSpace:
     """Like build_section_space but with weight h^m e^{-m phi} and volume of
-    the perturbed form; the basis monomials are unchanged."""
-    if model.kind != "football":
-        raise UnsupportedModelError("perturbed spaces are built on footballs only")
-    PerturbedMetric.from_bump(phi)  # raises when the margin is not positive
+    the perturbed form; the basis monomials are unchanged.  phi is a function
+    of the radial variable t of chart u0 (|z|^2 on a football)."""
+    t = np.linspace(0.0, 50.0, 4001)
+    margin = float(np.min(_perturbed_radial_density(t, phi)))
+    if margin <= 0.0:
+        raise ModelSpecError(f"perturbed form not positive: margin {margin:.3e}")
     return _build(model, power, phi, rule)
 
 
 def _build(model, power, phi, rule) -> SectionSpace:
     if power < 0:
         raise ModelSpecError("power must be non-negative")
-    if model.kind == "football":
-        n = model.params["n"]
-        if power % model.bundle_step != 0:
-            raise ModelSpecError(
-                f"power {power} not a multiple of bundle step {model.bundle_step}"
-            )
-        basis = _football_basis(n, power)
-        logs = [
-            _football_log_norm(n, power, power - a, phi, rule) for a, _ in basis
-        ]
-    elif model.kind == "wpl":
-        d0, d1 = model.params["d"]
-        action = GroupAction.trivial(2)
-        basis = invariant_monomials(action, power, weights=(d0, d1))
-        logs = [_wpl_log_norm(d0, d1, power, b, rule) for _, b in basis]
-    else:
-        raise UnsupportedModelError(f"no global section space for kind {model.kind!r}")
+    if power % model.bundle_step != 0:
+        raise ModelSpecError(
+            f"power {power} not a multiple of bundle step {model.bundle_step}"
+        )
+    basis = model.section_basis(power)
     if not basis:
         raise ModelSpecError(f"no sections in degree {power}")
+    chart = model.charts[0]
+    logs = [
+        _log_norm(model, power, a[chart.fibre_index] * chart.root, phi, rule)
+        for a in basis
+    ]
     # the Gram matrix is diagonal, so the orthonormalizing solve is entrywise
     # and its effective (correlation) condition number is 1; only degenerate
     # entries make the basis unusable
@@ -249,46 +207,18 @@ def _build(model, power, phi, rule) -> SectionSpace:
 
 def gram_entry_polar(model: OrbifoldModel, power: int, alpha, beta,
                      rule: QuadratureRule | None = None) -> complex:
-    """Full polar-quadrature Gram entry <z^alpha, z^beta> (football chart u0).
+    """Full polar-quadrature Gram entry <z^alpha, z^beta> on chart u0.
 
     Exposes the off-diagonal entries so torus orthogonality can be verified
     rather than assumed; intended for modest powers.
     """
-    if model.kind != "football":
-        raise UnsupportedModelError("polar Gram entries implemented for footballs")
-    n = model.params["n"]
-    m = power
-    a = m - alpha[0]
-    b = m - beta[0]
-    rule = rule or QuadratureRule(angular_nodes=2 * m + 5)
-    theta = 2.0 * np.pi * np.arange(rule.angular_nodes) / rule.angular_nodes
-    ang = np.mean(np.exp(1j * (a - b) * theta))
+    chart = model.charts[0]
+    a, b = alpha[chart.fibre_index], beta[chart.fibre_index]
+    half_e = (a + b) * chart.root / 2.0
+    rule = rule or QuadratureRule(angular_nodes=2 * power + 5)
 
-    def fu(u):
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.where(
-                u > 0,
-                np.exp(((a + b) / 2.0) * np.log(np.maximum(u, 1e-300)) - (m + 2) * np.log1p(u)),
-                1.0 if a + b == 0 else 0.0,
-            )
+    def f(t, theta):
+        radial = np.exp(half_e * np.log(t) - (power + 2) * np.log1p(t))
+        return np.exp(1j * (a - b) * theta) * radial / model.quotient_order
 
-    radial = integrate_radial(fu, rule) / n
-    return complex(ang * radial)
-
-
-def chart_squared_norm(model: OrbifoldModel, power: int, exponents, chart_id: str,
-                       z: complex) -> float:
-    """a(z)^m |f(z)|^2 of the monomial section in the given chart's frame.
-
-    Chart-independence of this value on overlaps is the section/function
-    correspondence check.
-    """
-    u = abs(z) ** 2
-    m = power
-    if model.kind == "football":
-        a0, a1 = exponents
-        expo = a1 if chart_id == "u0" else a0
-        if u == 0.0:
-            return 1.0 if expo == 0 else 0.0
-        return math.exp(expo * math.log(u) - m * math.log1p(u))
-    raise UnsupportedModelError("chart norms implemented for footballs")
+    return complex(integrate_polar(f, rule))

@@ -14,7 +14,7 @@ from orbk.asymptotics import (
 from orbk.bergman import football_density_closed_form
 from orbk.errors import ModelSpecError, NoiseFloorError, UnsupportedModelError
 from orbk.groups import GroupAction
-from orbk.models import build_football
+from orbk.models import build_football, build_wpl
 from orbk.sections import RadialBump
 
 
@@ -121,6 +121,16 @@ def test_recover_unperturbed_curve_tends_to_zero():
     vals = [curve[m] for m in ms]
     assert vals == sorted(vals, reverse=True)
     assert vals[-1] < 0.05
+
+
+def test_recover_on_weighted_line_matches_football():
+    # in the radial variable t, P(1, 2) is the football CP^1 / mu_2 in even degrees
+    phi = RadialBump(0.1, 1.0, 3.0)
+    ms = [20, 40, 60]
+    football = recover_potential(build_football(2), phi, ms)
+    weighted = recover_potential(build_wpl(1, 2), phi, ms)
+    for m in ms:
+        assert weighted[m] == pytest.approx(football[m], rel=1e-9)
 
 
 def test_recover_bump_trend():

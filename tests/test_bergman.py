@@ -70,6 +70,16 @@ def test_density_on_second_chart():
     assert density(space, 1.0 / z, "u1") == pytest.approx(
         density(space, z, "u0"), rel=1e-9
     )
+    # on P(d0, d1) the chart-u1 point of u0 = |z|^2 has u1 = u0^(-d0/d1)
+    for d0, d1 in [(1, 2), (2, 3), (3, 5), (2, 7)]:
+        model = build_wpl(d0, d1)
+        for m in (d0 * d1, 2 * d0 * d1 + d0, 40):
+            space = build_section_space(model, m)
+            for u0 in (0.2, 1.0, 3.7):
+                w = complex(math.sqrt(u0 ** (-d0 / d1)))
+                assert density(space, w, "u1") == pytest.approx(
+                    density(space, complex(math.sqrt(u0)), "u0"), rel=1e-12
+                )
 
 
 def test_wpl_density_positive():
@@ -123,8 +133,10 @@ def test_density_sweep_shape_and_proxy():
 
 def test_trace_identity():
     # integral of the density against the volume form equals dim H^0
-    for n, m in [(1, 6), (2, 8), (3, 12)]:
-        space = build_section_space(build_football(n), m)
+    models = [(build_football(n), m) for n, m in [(1, 6), (2, 8), (3, 12)]]
+    models += [(build_wpl(*d), m) for d, m in [((1, 2), 7), ((2, 3), 13), ((3, 5), 30)]]
+    for model, m in models:
+        space = build_section_space(model, m)
         assert integrated_density(space) == pytest.approx(space.dim, rel=1e-8)
 
 

@@ -132,3 +132,30 @@ def test_phase_report(runner, tmp_path):
     assert result.exit_code == 0
     report = json.loads((tmp_path / "phase_report.json").read_text())
     assert report["summary"]["pass"] is True
+
+
+WPL = '{"kind":"wpl","d":[2,3]}'
+CONE = '{"kind":"cone","group":{"order":3,"weights":[1,2]}}'
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--model", WPL],
+    ["decay", "--model", WPL],
+    ["split", "--model", WPL, "--m", "6"],
+    ["density", "--model", WPL, "--m", "6"],
+    ["pairing", "--n", "1"],
+    ["rrk", "--model", CONE, "--m", "3"],
+])
+def test_unsupported_model_fails_on_model_field(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "FAIL model:" in result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+
+
+@pytest.mark.parametrize("command", ["fit", "decay", "lowerbound", "recover",
+                                     "pairing"])
+def test_no_degree_left_fails_on_m_field(runner, command):
+    result = runner.invoke(main, [command, "--n", "2", "--m", "1"])
+    assert result.exit_code == 1
+    assert "FAIL m:" in result.output

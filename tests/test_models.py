@@ -1,9 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from orbk.errors import ModelSpecError
+from orbk.errors import ModelSpecError, UnsupportedModelError
 from orbk.groups import GroupAction
 from orbk.index import det_positivity_check
 from orbk.models import (
@@ -13,6 +12,7 @@ from orbk.models import (
     build_wpl,
     geodesic_distance_proxy,
 )
+from orbk.sections import build_section_space
 
 
 def test_football_three_has_two_singular_points():
@@ -63,34 +63,21 @@ def test_cone_accepts_free_action():
     assert len(model.singular_points) == 1
 
 
-def test_metric_potential_positive_and_shape():
-    model = build_football(3)
-    chart = model.chart("u0")
-    for u in np.linspace(0.0, 20.0, 40):
-        a = chart.metric_potential(u)
-        assert a > 0
-        assert a == pytest.approx(1.0 / (1.0 + u))
-
-
-def test_volume_density_group_invariant():
-    # orbit sampling: the radial profile is blind to the angular group action
-    model = build_football(4)
-    chart = model.chart("u0")
-    rng = np.random.default_rng(3)
-    for z in rng.normal(0, 1, size=(10, 2)):
-        u = z[0] ** 2 + z[1] ** 2
-        vals = {chart.volume_density(u)}
-        assert max(vals) == pytest.approx(min(vals))
-
-
 def test_total_volume_of_quotient():
-    # integral of the radial measure over the chart is 1/n
-    from orbk.quadrature import integrate_radial
+    # the norm of the constant section is the total volume 1/q
+    for model, q in [(build_football(1), 1), (build_football(2), 2),
+                     (build_football(3), 3), (build_wpl(1, 2), 2),
+                     (build_wpl(2, 3), 6), (build_wpl(3, 5), 15)]:
+        assert model.quotient_order == q
+        space = build_section_space(model, 0)
+        assert space.gram[0, 0] == pytest.approx(1.0 / q, rel=1e-10)
 
-    for n in (1, 2, 3):
-        model = build_football(n)
-        total = integrate_radial(model.chart("u0").radial_measure)
-        assert total == pytest.approx(1.0 / n, rel=1e-10)
+
+def test_closed_forms_need_a_football():
+    assert build_football(3).football_order() == 3
+    for model in (build_wpl(1, 2), build_cone(GroupAction.cyclic(3, [1, 2]))):
+        with pytest.raises(UnsupportedModelError):
+            model.football_order()
 
 
 def test_distance_proxy():

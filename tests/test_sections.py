@@ -8,11 +8,9 @@ from orbk.groups import GroupAction, invariant_monomials
 from orbk.models import build_cone, build_football, build_wpl
 from orbk.quadrature import monomial_norm_closed_form
 from orbk.sections import (
-    PerturbedMetric,
     RadialBump,
     build_perturbed_space,
     build_section_space,
-    chart_squared_norm,
     gram_entry_polar,
 )
 
@@ -73,6 +71,16 @@ def test_off_diagonal_gram_entries_vanish():
             assert abs(entry.imag) < 1e-12
         else:
             assert abs(entry) < 1e-12
+    # P(2, 3) in degree 12: basis (0, 4), (3, 2), (6, 0)
+    model = build_wpl(2, 3)
+    space = build_section_space(model, 12)
+    for i, alpha in enumerate(space.basis):
+        for beta in space.basis:
+            entry = gram_entry_polar(model, 12, alpha, beta)
+            if alpha == beta:
+                assert entry.real == pytest.approx(space.gram[i, i], rel=1e-9)
+            else:
+                assert abs(entry) < 1e-12
 
 
 def test_orthonormalization_identity():
@@ -80,18 +88,6 @@ def test_orthonormalization_identity():
     space = build_section_space(build_football(3), 15)
     t = space.transform
     assert np.allclose(t.T.conj() @ space.gram @ t, np.eye(space.dim), atol=1e-9)
-
-
-def test_chart_norm_agrees_on_overlap():
-    # section/function correspondence: frames on u0 and u1 give the same value
-    model = build_football(2)
-    m = 6
-    for exps in [(0, 6), (2, 4), (6, 0)]:
-        for r in (0.3, 1.0, 2.7):
-            z = complex(math.sqrt(r))
-            v0 = chart_squared_norm(model, m, exps, "u0", z)
-            v1 = chart_squared_norm(model, m, exps, "u1", 1.0 / z)
-            assert v0 == pytest.approx(v1, rel=1e-9)
 
 
 def test_power_must_match_bundle_step():
@@ -123,9 +119,10 @@ def test_bump_calculus():
 
 
 def test_perturbed_metric_positivity_guard():
-    PerturbedMetric.from_bump(RadialBump(0.1, 1.0, 3.0))
+    model = build_football(2)
+    build_perturbed_space(model, 4, RadialBump(0.1, 1.0, 3.0))
     with pytest.raises(ModelSpecError):
-        PerturbedMetric.from_bump(RadialBump(5.0, 1.0, 1.0))
+        build_perturbed_space(model, 4, RadialBump(5.0, 1.0, 1.0))
 
 
 def test_zero_perturbation_is_identity():
