@@ -5,6 +5,7 @@ from .errors import (
     ModelSpecError,
     NoiseFloorError,
     OrbkError,
+    ParameterError,
     QuadratureError,
     UnsupportedModelError,
 )

@@ -22,6 +22,7 @@ from .quadrature import QuadratureRule, integrate_radial
 from .sections import RadialBump, build_perturbed_space
 
 NOISE_FLOOR = 1e-14
+DECAY_MIN_POINTS = 5  # degrees a decay fit needs above the noise floor
 
 
 @dataclass
@@ -75,14 +76,14 @@ def fit_expansion(ms, rhos, dim: int, terms: int, r_proxy: float | None = None,
     ms_f = ms[keep]
     rhos_f = rhos[keep]
     if len(ms_f) < terms + 3:
-        raise ModelSpecError("m-range too short for the requested fit")
+        raise ModelSpecError("m-range too short for the requested fit", field="m")
     cols = [ms_f ** (dim - j) for j in range(terms)]
     A = np.stack(cols, axis=1)
     scale = np.linalg.norm(A, axis=0)
     A_scaled = A / scale
     cond = np.linalg.cond(A_scaled)
     if cond > 1e10:
-        raise ModelSpecError("reduce R or extend m-range")
+        raise ModelSpecError("reduce R or extend m-range", field="m")
     coef, *_ = np.linalg.lstsq(A_scaled, rhos_f, rcond=None)
     coef = coef / scale
     residuals = rhos_f - A @ coef
@@ -97,10 +98,13 @@ def fit_expansion(ms, rhos, dim: int, terms: int, r_proxy: float | None = None,
 
 def fit_decay_rate(ms, rhos, r: float) -> DecayFit:
     """log-linear regression of |rho_m - (m+1)| against m near a singularity."""
+    if len(ms) < DECAY_MIN_POINTS:
+        raise ModelSpecError(
+            f"{len(ms)} degrees, a decay fit needs at least {DECAY_MIN_POINTS}", field="m")
     ms = np.asarray(ms, dtype=float)
     resid = np.abs(np.asarray(rhos, dtype=float) - (ms + 1.0))
     good = resid > NOISE_FLOOR
-    if np.count_nonzero(good) < 5:
+    if np.count_nonzero(good) < DECAY_MIN_POINTS:
         raise NoiseFloorError("increase r or lower m")
     x = ms[good]
     y = np.log(resid[good])

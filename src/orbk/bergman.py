@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ParameterError, QuadratureError
 from .models import OrbifoldModel, geodesic_distance_proxy
 from .quadrature import integrate_radial
 from .sections import SectionSpace, _perturbed_radial_density
@@ -61,9 +61,9 @@ def _log_terms(space: SectionSpace, t) -> np.ndarray:
 def football_density_closed_form(n: int, m: int, r: float) -> float:
     """(m+1) sum_{k=0}^{n-1} ((1 + r e^{2 pi i k/n})/(1+r))^m at chart radius r."""
     if r < 0:
-        raise ValueError("r must be non-negative")
+        raise ParameterError("r must be non-negative", field="r")
     if m % n != 0:
-        raise ValueError(f"degree {m} is not a multiple of {n}")
+        raise ParameterError(f"degree {m} is not a multiple of {n}", field="m")
     total = 0.0 + 0.0j
     for k in range(n):
         zeta = cmath.exp(2j * cmath.pi * k / n)

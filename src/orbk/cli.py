@@ -212,13 +212,17 @@ def output_options(f):
 
 class _Checks(click.Group):
     """The subcommands, with one error boundary: an operation the model does
-    not support ends as `FAIL model: <message>`, exit 1."""
+    not support ends as `FAIL model: <message>`, and any other library error
+    or invalid value as `FAIL <field>: <message>` with the field the error
+    names (`input` when it names none); both exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except UnsupportedModelError as exc:
             _fail_field("model", str(exc))
+        except (OrbkError, ValueError) as exc:
+            _fail_field(getattr(exc, "field", None) or "input", str(exc))
 
 
 @click.group(cls=_Checks)
@@ -433,6 +437,8 @@ def cmd_charsum(cases, seed, tol, out, fmt, config_path, gnuplot):
     """Orbit sum vs. invariant-monomial sum on randomized group actions."""
     params = _apply_config(config_path, {"cases": cases, "seed": seed,
                                          "tol": tol})
+    if params["cases"] < 1:
+        _fail_field("cases", f"{params['cases']} cases, at least 1 is needed")
     rng = np.random.default_rng(params["seed"])
     rows, ok = [], True
     for case in range(params["cases"]):

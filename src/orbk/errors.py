@@ -2,7 +2,19 @@
 
 
 class OrbkError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    field, when set, names the argument at fault (m for a degree), as the
+    command line names its parameters.
+    """
+
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field
+
+
+class ParameterError(OrbkError, ValueError):
+    """An argument outside the domain of the function it was passed to."""
 
 
 class ModelSpecError(OrbkError):

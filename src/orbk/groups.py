@@ -173,9 +173,10 @@ def invariant_monomials(
     total degree.
     """
     if total_degree < 0:
-        raise ModelSpecError("degree must be non-negative")
+        raise ModelSpecError("degree must be non-negative", field="m")
     if total_degree > MAX_DEGREE:
-        raise ModelSpecError(f"degree {total_degree} exceeds bound {MAX_DEGREE}")
+        raise ModelSpecError(f"degree {total_degree} exceeds bound {MAX_DEGREE}",
+                             field="m")
     if weights is not None and len(weights) != action.dim:
         raise ModelSpecError("degree weights inconsistent with action dimension")
     out = []

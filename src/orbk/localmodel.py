@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 @dataclass(frozen=True)
 class ModelGrid:
@@ -22,9 +24,10 @@ class ModelGrid:
 
     def __post_init__(self):
         if self.y_points & (self.y_points - 1) != 0:
-            raise ValueError("y_points must be a power of two")
+            raise ParameterError("y_points must be a power of two", field="y_points")
         if self.x_max < 6.0:
-            raise ValueError("x_max must be at least 6 for negligible tails")
+            raise ParameterError("x_max must be at least 6 for negligible tails",
+                                 field="x_max")
 
     @property
     def x(self) -> np.ndarray:

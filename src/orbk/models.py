@@ -30,16 +30,13 @@ class Chart:
 
     With u = |z|^2 in the chart coordinate z, the radial variable is
     t = u ** (1 / root).  The basis monomial a restricts to the chart frame
-    as z^a[fibre_index], that is t^(a[fibre_index] * root).  folds_measure
-    says how the unperturbed norm integrand is evaluated (see
-    sections._log_norm); it does not change the integral.
+    as z^a[fibre_index], that is t^(a[fibre_index] * root).
     """
 
     id: str
     group: GroupAction
     root: int
     fibre_index: int
-    folds_measure: bool
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ def build_football(n: int) -> OrbifoldModel:
         kind="football",
         dim=1,
         bundle_step=n,
-        charts=(Chart("u0", group, 1, 1, False), Chart("u1", group, 1, 0, False)),
+        charts=(Chart("u0", group, 1, 1), Chart("u1", group, 1, 0)),
         singular_points=singular,
         params={"n": n},
         basis_action=GroupAction.cyclic(n, [1, 0]),
@@ -141,7 +138,7 @@ def build_wpl(d0: int, d1: int) -> OrbifoldModel:
     charts, singular = [], []
     for i, (dh, do) in enumerate(((d0, d1), (d1, d0))):
         group = GroupAction.cyclic(dh, [do % dh])
-        charts.append(Chart(f"u{i}", group, do, 1 - i, True))
+        charts.append(Chart(f"u{i}", group, do, 1 - i))
         if dh > 1:
             singular.append(SingularPoint(f"u{i}", dh, (do % dh,), dh - 1, group))
     return OrbifoldModel(

@@ -1,8 +1,14 @@
 """Radial and angular quadrature plus exact factorial norm integrals.
 
-Integrals over r in [0, inf) use the substitution s = r/(1+r), which maps the
-rational integrands appearing in Bergman norms to polynomial-like functions on
-[0, 1).  Radial resolution is doubled until two successive values agree.
+Scalar integrals over r in [0, inf) (pairings, the trace identity, polar Gram
+entries) use the substitution s = r/(1+r), which maps the rational integrands
+appearing there to polynomial-like functions on [0, 1); radial resolution is
+doubled until two successive values agree.
+
+Families of sharply peaked integrands, such as the monomial norms of a
+section space, go through integrate_windows instead: every row gets its own
+finite window around its peak, and all rows are integrated together on one
+(rows x nodes) array.
 """
 
 from __future__ import annotations
@@ -38,31 +44,30 @@ def _piecewise_points(n: int, breakpoints):
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
-    # scipy's Newton-iteration roots stay O(n); numpy's eigenvalue route is
-    # only viable at small orders
-    try:
+    # numpy's eigenvalue route needs no scipy.special import but is O(n^3),
+    # so only the small orders of the window pass take it; scipy's Newton
+    # iteration serves the rest
+    if n <= 128:
+        x, w = np.polynomial.legendre.leggauss(n)
+    else:
         from scipy.special import roots_legendre
         x, w = roots_legendre(n)
-    except ImportError:  # pragma: no cover
-        x, w = np.polynomial.legendre.leggauss(n)
     # map from [-1, 1] to [0, 1]
     return 0.5 * (x + 1.0), 0.5 * w
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre radial nodes (after s = r/(1+r)) and equispaced angles."""
+    """Gauss-Legendre radial nodes (after s = r/(1+r)) and equispaced angles.
+
+    radial_nodes is the first order of integrate_radial; rel_tol and
+    max_radial_nodes bound integrate_windows as well.
+    """
 
     radial_nodes: int = 200
     angular_nodes: int = 64
     rel_tol: float = 1e-11
     max_radial_nodes: int = 51200
-
-    def radial_points(self, n: int | None = None):
-        """Radial nodes r_i and weights for integrating dr over [0, inf)."""
-        s, w = _leggauss(n or self.radial_nodes)
-        r = s / (1.0 - s)
-        return r, w / (1.0 - s) ** 2
 
     def angles(self):
         return 2.0 * np.pi * np.arange(self.angular_nodes) / self.angular_nodes
@@ -99,6 +104,70 @@ def integrate_radial(f, rule: QuadratureRule | None = None,
             )
         prev = total
         n *= 2
+
+
+WINDOW_NODES = 48  # first Gauss-Legendre order per window piece
+# Integrand samples evaluated at once: rows go in chunks of at most this many
+# samples, so the arrays stay at 16 kB whatever order a row needs.  Larger
+# chunks save per-chunk overhead but raise the allocation peak of a build.
+WINDOW_SAMPLES = 2048
+
+
+def integrate_windows(log_f, edges, rule: QuadratureRule | None = None):
+    """Per-row log of the integral of exp(log_f) over the row's own window.
+
+    edges is a (rows, pieces + 1) array of nondecreasing points: row i is
+    integrated over [edges[i, 0], edges[i, -1]], piecewise between its interior
+    edges.  log_f(rows, x) returns the log integrand of the listed rows at x
+    as a new array of the shape of x, (len(rows), k).  Each row is integrated
+    with Gauss-Legendre at n and 2n nodes per piece, from n = WINDOW_NODES, and
+    is accepted when the two values agree to rule.rel_tol; the rows that do
+    not are doubled again, and QuadratureError is raised when the next order
+    would pass rule.max_radial_nodes.
+
+    Returns the logs and, per row, the order per piece it was accepted at.
+    """
+    rule = rule or QuadratureRule()
+    edges = np.asarray(edges, dtype=float)
+    logs = np.empty(len(edges))
+    orders = np.zeros(len(edges), dtype=int)
+    # the largest sample of its first pass scales each row to O(1)
+    shift = np.full(len(edges), np.nan)
+    rows = np.arange(len(edges))
+    prev = None
+    n = WINDOW_NODES
+    while len(rows):
+        s, w = _leggauss(n)
+        total = np.empty(len(rows))
+        chunk = max(1, WINDOW_SAMPLES // (n * (edges.shape[1] - 1)))
+        for i in range(0, len(rows), chunk):
+            part = rows[i:i + chunk]
+            width = np.diff(edges[part], axis=1)
+            x = width[:, :, None] * s
+            x += edges[part, :-1, None]
+            lf = log_f(part, x.reshape(len(part), -1))
+            del x
+            if prev is None:
+                shift[part] = np.max(lf, axis=1)
+            lf -= shift[part, None]
+            vals = np.exp(lf, out=lf)
+            if not np.all(np.isfinite(vals)):
+                raise QuadratureError("non-finite integrand sample")
+            vals = vals.reshape(width.shape + (n,))
+            vals *= w
+            total[i:i + chunk] = np.sum(np.sum(vals, axis=2) * width, axis=1)
+            del lf, vals
+        if prev is not None:
+            done = np.abs(total - prev) <= rule.rel_tol * np.abs(total)
+            with np.errstate(divide="ignore"):
+                logs[rows[done]] = shift[rows[done]] + np.log(total[done])
+            orders[rows[done]] = n
+            rows, total = rows[~done], total[~done]
+        if len(rows) and 2 * n > rule.max_radial_nodes:
+            raise QuadratureError(f"window quadrature failed to converge at {n} nodes")
+        prev = total
+        n *= 2
+    return logs, orders
 
 
 def integrate_polar(f, rule: QuadratureRule | None = None) -> complex:

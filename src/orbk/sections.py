@@ -3,6 +3,11 @@
 Gram matrices of the catalog models are diagonal by torus symmetry; entries
 are kept as logarithms because monomial norms underflow double precision well
 before the powers the asymptotic checks need.
+
+Every entry is the norm of a monomial read as t^e on chart u0.  In
+x = t/(1+t) its integrand is x^e (1-x)^(m-e), a peak at the Laplace point
+x* = e/m of width ~ 1/sqrt(m), so all entries of a space are integrated in
+one batched pass, each on a window around its own peak (see _log_norms).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .errors import IllConditionedBasisError, ModelSpecError
 from .models import OrbifoldModel
-from .quadrature import QuadratureRule, integrate_polar, integrate_radial
+from .quadrature import QuadratureRule, integrate_polar, integrate_windows
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,8 @@ class SectionSpace:
     basis: tuple[tuple[int, ...], ...]
     log_gram_diag: tuple[float, ...]
     perturbation: RadialBump | None = None
+    # Gauss-Legendre order per window piece each diagonal entry was accepted at
+    quadrature_nodes: tuple[int, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -100,55 +107,94 @@ class SectionSpace:
         )
 
 
-def _log_integral(log_f, rule: QuadratureRule | None = None,
-                  breakpoints=()) -> float:
-    """log of integral of exp(log_f(r)) dr over [0, inf), overflow-safe."""
-    rule = rule or QuadratureRule()
-    r0, _ = rule.radial_points(rule.radial_nodes)
-    with np.errstate(divide="ignore"):
-        shift = float(np.max(log_f(r0)))
-    if not math.isfinite(shift):
-        raise ModelSpecError("degenerate norm integrand")
-
-    def f(r):
-        with np.errstate(divide="ignore"):
-            lf = log_f(r)
-        return np.exp(lf - shift)
-
-    return shift + math.log(integrate_radial(f, rule, breakpoints=breakpoints))
+# Rows whose per-row data (exponents, peaks, windows) is held at once.
+_BLOCK = 256
+# A window holds every point where the log integrand is within this of its
+# peak; what lies outside weighs less than e^-40 of the peak.
+_DEPTH = 40.0
 
 
-def _log_norm(model: OrbifoldModel, m: int, e: int, phi: RadialBump | None,
-              rule: QuadratureRule | None) -> float:
-    """log norm^2 of the degree-m basis monomial read as t^e on chart u0.
+def _log_bump_factor(t, phi: RadialBump, m: int):
+    """log of e^{-m phi(t)} rho(t) (1+t)^2, the factor a bump puts on the
+    degree-m norm integrand in x = t/(1+t); rho is the perturbed density
+    _perturbed_radial_density, (1+t)^-2 without the bump."""
+    # the form is positive (checked on a grid); clamp for the log
+    rho = np.maximum(_perturbed_radial_density(t, phi), 1e-300)
+    return -m * phi.value(t) + np.log(rho) + 2.0 * np.log1p(t)
 
-    The integrand is t^e (1+t)^-m e^{-m phi(t)} against the (perturbed) volume
-    density in t, over the quotient order q.
+
+def _window(a, b, m: int, depth: float):
+    """Offsets (left, right) from the peak x* = a/m of x^a (1-x)^b on [0, 1]
+    beyond which its log lies more than depth below the peak value.
+
+    With u = m d / a, v = m d / b and log1p(u) <= u - u^2/(2(1+u)) for u >= 0,
+    log1p(u) <= u - u^2/2 for -1 < u <= 0, the log at offset d > 0 is at most
+    -a u^2/(2(1+u)) and -(m d)^2/(2b); mirrored for d < 0.
     """
-    # The chart picks one of two float orderings of this integrand, the one
-    # its model has always used: which Gram builds near the top degrees
-    # converge depends on the integrand's last bit.  Merging the two waits for
-    # the peak-aware Gram quadrature, which replaces this integrand.
-    fold = model.charts[0].folds_measure and phi is None
-    weight = m + 2 if fold else m
-    log_q = math.log(model.quotient_order)
+    if m == 0:
+        return np.zeros_like(a), np.ones_like(a)
 
-    def log_f(t):
-        t = np.asarray(t, dtype=float)
-        lf = e * np.log(t) - weight * np.log1p(t)
-        if phi is not None:
-            lf = lf - m * phi.value(t)
-        if not fold:
-            # density can only vanish on a null set; clamp for the log
-            lf = lf + np.log(np.maximum(_perturbed_radial_density(t, phi), 1e-300))
-        return lf - log_q
+    def reach(near, far):
+        return np.minimum(depth + np.sqrt(depth * (depth + 2.0 * near)),
+                          np.sqrt(2.0 * depth * far)) / m
 
-    breaks = ()
+    return -np.minimum(reach(b, a), a / m), np.minimum(reach(a, b), b / m)
+
+
+def _log_norms(model: OrbifoldModel, m: int, basis, phi: RadialBump | None,
+               rule: QuadratureRule | None):
+    """log norm^2 of the degree-m basis monomials, each read as t^e on chart
+    u0, and the Gauss-Legendre order each was accepted at.
+
+    The integrand t^e (1+t)^-m (1+t)^-2 dt / q is x^e (1-x)^(m-e) dx / q in
+    x = t/(1+t), times _log_bump_factor under a bump.  Each row is integrated
+    in the offset d = x - x* from its peak x* = e/m, over its _window, split
+    at the bump edges.  A bump moves the log integrand by at most the spread
+    of its factor, so the window depth grows by that spread.
+    """
+    depth, breaks = _DEPTH, []
     if phi is not None:
-        breaks = tuple(
-            b for b in (phi.center - phi.width, phi.center + phi.width) if b > 0
-        )
-    return _log_integral(log_f, rule, breakpoints=breaks)
+        t = np.linspace(0.0, max(50.0, phi.support_max), 4001)
+        margin = float(np.min(_perturbed_radial_density(t, phi)))
+        if margin <= 0.0:
+            raise ModelSpecError(f"perturbed form not positive: margin {margin:.3e}")
+        depth += float(np.ptp(_log_bump_factor(t, phi, m)))
+        breaks = [edge / (1.0 + edge)
+                  for edge in (phi.center - phi.width, phi.center + phi.width) if edge > 0]
+    chart = model.charts[0]
+    scale = max(m, 1)  # m = 0: the constant integrand on [0, 1]
+    log_q = math.log(model.quotient_order)
+    logs, orders = [], []
+    for start in range(0, len(basis), _BLOCK):
+        a = chart.root * np.array([alpha[chart.fibre_index]
+                                   for alpha in basis[start:start + _BLOCK]], dtype=float)
+        b = m - a
+        xs, cxs = a / scale, (scale - a) / scale  # x* and 1 - x*
+        # x* where a = 0 and 1 - x* where b = 0 only meet zero exponents
+        xs_safe = np.where(a > 0, xs, 1.0)
+        cxs_safe = np.where(b > 0, cxs, 1.0)
+        lo, hi = _window(a, b, m, depth)
+        edges = np.column_stack([lo] + [np.clip(x - xs, lo, hi) for x in breaks] + [hi])
+
+        def log_f(rows, d):
+            # a log1p(d / x*) + b log1p(-d / (1 - x*)), in place
+            lf = d / xs_safe[rows, None]
+            rest = d / -cxs_safe[rows, None]
+            with np.errstate(divide="ignore"):
+                np.log1p(lf, out=lf)
+                np.log1p(rest, out=rest)
+            lf *= a[rows, None]
+            rest *= b[rows, None]
+            lf += rest
+            if phi is not None:
+                lf += _log_bump_factor((xs[rows, None] + d) / (cxs[rows, None] - d), phi, m)
+            return lf
+
+        block, nodes = integrate_windows(log_f, edges, rule)
+        peak = a * np.log(xs_safe) + b * np.log(cxs_safe) - log_q
+        logs.extend((peak + block).tolist())
+        orders.extend(nodes.tolist())
+    return logs, orders
 
 
 def build_section_space(
@@ -168,11 +214,8 @@ def build_perturbed_space(
 ) -> SectionSpace:
     """Like build_section_space but with weight h^m e^{-m phi} and volume of
     the perturbed form; the basis monomials are unchanged.  phi is a function
-    of the radial variable t of chart u0 (|z|^2 on a football)."""
-    t = np.linspace(0.0, 50.0, 4001)
-    margin = float(np.min(_perturbed_radial_density(t, phi)))
-    if margin <= 0.0:
-        raise ModelSpecError(f"perturbed form not positive: margin {margin:.3e}")
+    of the radial variable t of chart u0 (|z|^2 on a football), and the form
+    must be positive on [0, max(50, phi.support_max)]."""
     return _build(model, power, phi, rule)
 
 
@@ -186,11 +229,7 @@ def _build(model, power, phi, rule) -> SectionSpace:
     basis = model.section_basis(power)
     if not basis:
         raise ModelSpecError(f"no sections in degree {power}")
-    chart = model.charts[0]
-    logs = [
-        _log_norm(model, power, a[chart.fibre_index] * chart.root, phi, rule)
-        for a in basis
-    ]
+    logs, nodes = _log_norms(model, power, basis, phi, rule)
     # the Gram matrix is diagonal, so the orthonormalizing solve is entrywise
     # and its effective (correlation) condition number is 1; only degenerate
     # entries make the basis unusable
@@ -202,6 +241,7 @@ def _build(model, power, phi, rule) -> SectionSpace:
         basis=tuple(basis),
         log_gram_diag=tuple(logs),
         perturbation=phi,
+        quadrature_nodes=tuple(nodes),
     )
 
 

@@ -106,11 +106,12 @@ def test_fit_reports_both_degree_conventions(runner, tmp_path):
 
 
 def test_decay_noise_floor_outcome(runner, tmp_path):
-    result = runner.invoke(main, ["decay", "--n", "2", "--m", "10:120:2",
-                                  "--r", "1.0"])
-    assert result.exit_code == 0
-    report = json.loads((tmp_path / "decay_report.json").read_text())
-    assert report["summary"]["outcome"] == "noise_floor"
+    for mrange in ("10:120:2", "10:200:2"):
+        result = runner.invoke(main, ["decay", "--n", "2", "--m", mrange,
+                                      "--r", "1.0"])
+        assert result.exit_code == 0
+        report = json.loads((tmp_path / "decay_report.json").read_text())
+        assert report["summary"]["outcome"] == "noise_floor"
 
 
 def test_charsum_deterministic_seed(runner, tmp_path):
@@ -159,3 +160,24 @@ def test_no_degree_left_fails_on_m_field(runner, command):
     result = runner.invoke(main, [command, "--n", "2", "--m", "1"])
     assert result.exit_code == 1
     assert "FAIL m:" in result.output
+
+
+@pytest.mark.parametrize("args,field", [
+    (["charsum", "--cases", "0"], "cases"),
+    (["localmodel", "--y-points", "100"], "y_points"),
+    (["density", "--n", "2", "--r", "-1", "--m", "2:10:2"], "r"),
+    (["density", "--n", "2", "--m", "20000", "--r", "0.5"], "m"),
+    (["decay", "--n", "2", "--m", "2:6:2", "--r", "0.5"], "m"),
+])
+def test_invalid_value_fails_on_its_field(runner, args, field):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert f"FAIL {field}:" in result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+
+
+def test_density_at_max_degree(runner, tmp_path):
+    result = runner.invoke(main, ["density", "--n", "2", "--m", "10000", "--r", "0.5"])
+    assert result.exit_code == 0
+    report = json.loads((tmp_path / "density_report.json").read_text())
+    assert report["rows"][0]["rel_err"] < 1e-9
