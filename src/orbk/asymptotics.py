@@ -15,7 +15,7 @@ import numpy as np
 
 from .bergman import _log_terms, football_density_closed_form
 from .errors import ModelSpecError, NoiseFloorError, UnsupportedModelError
-from .groups import GroupAction, is_invariant
+from .groups import GroupAction, _exponent_vectors, is_invariant
 from .index import b_coefficient
 from .models import OrbifoldModel
 from .quadrature import QuadratureRule, integrate_radial
@@ -143,7 +143,8 @@ def pair_with_test_function(
         raise UnsupportedModelError("smooth model has no singular part")
     point = model.singular_point(chart_id)
     if phi.support_max >= 1e6:
-        raise ModelSpecError("test function support touches chart boundary")
+        raise ModelSpecError("test function support touches chart boundary",
+                             field="width")
 
     def value(m):
         zetas = [cmath.exp(2j * cmath.pi * k / n) for k in range(1, n)]
@@ -249,10 +250,9 @@ def character_sum_bound(
     ]
     lm = math.lgamma(m + 1)
     invariant = 0.0
-    for alpha in _alphas_up_to(n, m):
+    for *alpha, a0 in _exponent_vectors(n + 1, m, None):  # a0 = m - |alpha|
         if not is_invariant(action, alpha):
             continue
-        a0 = m - sum(alpha)
         lt = lm - math.lgamma(a0 + 1)
         ok = True
         for aj, laj in zip(alpha, log_abs2):
@@ -264,20 +264,3 @@ def character_sum_bound(
             invariant += math.exp(lt - m * math.log1p(norm2))
     invariant *= action.order
     return orbit.real, invariant
-
-
-def _alphas_up_to(dim: int, m: int):
-    if dim == 1:
-        for a in range(m + 1):
-            yield (a,)
-    elif dim == 2:
-        for a in range(m + 1):
-            for b in range(m + 1 - a):
-                yield (a, b)
-    elif dim == 3:
-        for a in range(m + 1):
-            for b in range(m + 1 - a):
-                for c in range(m + 1 - a - b):
-                    yield (a, b, c)
-    else:
-        raise ModelSpecError("dimension must be at most 3")

@@ -144,6 +144,8 @@ def metric_pullback_deviation(
     """
     n = space.model.football_order()
     m = space.power
+    if m <= 0:
+        raise ParameterError("the pullback deviation needs a positive degree", field="m")
 
     def lap(x, y, step):
         c = _log_density_closed_form(n, m, x, y)

@@ -23,7 +23,9 @@ class ModelGrid:
     x_max: float = 6.0
 
     def __post_init__(self):
-        if self.y_points & (self.y_points - 1) != 0:
+        if self.x_points < 2:
+            raise ParameterError("x_points must be at least 2", field="x_points")
+        if self.y_points < 1 or self.y_points & (self.y_points - 1) != 0:
             raise ParameterError("y_points must be a power of two", field="y_points")
         if self.x_max < 6.0:
             raise ParameterError("x_max must be at least 6 for negligible tails",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedBasisError, ModelSpecError
+from .errors import IllConditionedBasisError, ModelSpecError, ParameterError
 from .models import OrbifoldModel
 from .quadrature import QuadratureRule, integrate_polar, integrate_windows
 
@@ -34,6 +34,13 @@ class RadialBump:
     amplitude: float
     center: float = 0.0
     width: float = 1.0
+
+    def __post_init__(self):
+        for field in ("amplitude", "center", "width"):
+            if not math.isfinite(getattr(self, field)):
+                raise ParameterError(f"{field} must be finite", field=field)
+        if self.width <= 0:
+            raise ParameterError("width must be positive", field="width")
 
     def value(self, u):
         s = (np.asarray(u, dtype=float) - self.center) / self.width
@@ -157,7 +164,8 @@ def _log_norms(model: OrbifoldModel, m: int, basis, phi: RadialBump | None,
         t = np.linspace(0.0, max(50.0, phi.support_max), 4001)
         margin = float(np.min(_perturbed_radial_density(t, phi)))
         if margin <= 0.0:
-            raise ModelSpecError(f"perturbed form not positive: margin {margin:.3e}")
+            raise ModelSpecError(f"perturbed form not positive: margin {margin:.3e}",
+                                 field="amplitude")
         depth += float(np.ptp(_log_bump_factor(t, phi, m)))
         breaks = [edge / (1.0 + edge)
                   for edge in (phi.center - phi.width, phi.center + phi.width) if edge > 0]
@@ -221,14 +229,13 @@ def build_perturbed_space(
 
 def _build(model, power, phi, rule) -> SectionSpace:
     if power < 0:
-        raise ModelSpecError("power must be non-negative")
+        raise ModelSpecError("power must be non-negative", field="m")
     if power % model.bundle_step != 0:
         raise ModelSpecError(
-            f"power {power} not a multiple of bundle step {model.bundle_step}"
-        )
+            f"power {power} not a multiple of bundle step {model.bundle_step}", field="m")
     basis = model.section_basis(power)
     if not basis:
-        raise ModelSpecError(f"no sections in degree {power}")
+        raise ModelSpecError(f"no sections in degree {power}", field="m")
     logs, nodes = _log_norms(model, power, basis, phi, rule)
     # the Gram matrix is diagonal, so the orthonormalizing solve is entrywise
     # and its effective (correlation) condition number is 1; only degenerate

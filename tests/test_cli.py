@@ -84,15 +84,47 @@ def test_unknown_config_field_rejected(runner, tmp_path):
     assert "bogus" in result.output
 
 
+@pytest.mark.parametrize("args,config,field,value", [
+    (["charsum"], {"cases": "3"}, "cases", 3),
+    (["density", "--n", "2", "--m", "10"], {"r": "0.5"}, "r", 0.5),
+    (["pullback", "--n", "2"], {"m": "4"}, "m", 4),
+])
+def test_config_values_take_their_option_type(runner, tmp_path, args, config,
+                                              field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    result = runner.invoke(main, args + ["--config", str(cfg), "--out", "r.json"])
+    assert result.exit_code == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["params"][field] == value
+    assert type(report["params"][field]) is type(value)
+    if args[0] == "charsum":
+        assert len(report["rows"]) == 3
+
+
+@pytest.mark.parametrize("config,field", [
+    ({"cases": "x"}, "cases"),
+    ({"cases": [3]}, "cases"),
+    ({"cases": None}, "cases"),
+    ([1, 2], "config"),
+])
+def test_ill_typed_config_value_fails_on_its_field(runner, tmp_path, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    result = runner.invoke(main, ["charsum", "--config", str(cfg)])
+    assert result.exit_code == 1
+    assert f"FAIL {field}:" in result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+
+
 def test_csv_report_and_gnuplot_script(runner, tmp_path):
     result = runner.invoke(main, ["fit", "--n", "2", "--m", "10:120:10",
-                                  "--format", "csv", "--gnuplot"])
+                                  "--format", "csv"])
     assert result.exit_code == 0
     csv_path = tmp_path / "fit_report.csv"
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].split(",")[0] == "N"
     assert len(lines) > 2
-    assert (tmp_path / "fit_report.csv.gp").exists()
 
 
 def test_fit_reports_both_degree_conventions(runner, tmp_path):
@@ -157,9 +189,10 @@ def test_unsupported_model_fails_on_model_field(runner, args):
 @pytest.mark.parametrize("command", ["fit", "decay", "lowerbound", "recover",
                                      "pairing"])
 def test_no_degree_left_fails_on_m_field(runner, command):
-    result = runner.invoke(main, [command, "--n", "2", "--m", "1"])
-    assert result.exit_code == 1
-    assert "FAIL m:" in result.output
+    for mrange in ("1", "0"):
+        result = runner.invoke(main, [command, "--n", "2", "--m", mrange])
+        assert result.exit_code == 1
+        assert "FAIL m:" in result.output
 
 
 @pytest.mark.parametrize("args,field", [
@@ -168,6 +201,25 @@ def test_no_degree_left_fails_on_m_field(runner, command):
     (["density", "--n", "2", "--r", "-1", "--m", "2:10:2"], "r"),
     (["density", "--n", "2", "--m", "20000", "--r", "0.5"], "m"),
     (["decay", "--n", "2", "--m", "2:6:2", "--r", "0.5"], "m"),
+    (["pullback", "--n", "2", "--m", "0"], "m"),
+    (["localmodel", "--y-points", "0"], "y_points"),
+    (["localmodel", "--x-points", "1"], "x_points"),
+    (["split", "--n", "3", "--m", "12", "--r", "-2"], "r"),
+    (["pullback", "--n", "2", "--r-min", "-1"], "r_min"),
+    (["bcoef", "--n", "-1"], "model"),
+    (["recover", "--n", "2", "--width", "0"], "width"),
+    (["pairing", "--n", "2", "--width", "-1"], "width"),
+    (["recover", "--n", "2", "--center", "nan"], "center"),
+    (["recover", "--n", "2", "--amplitude", "inf"], "amplitude"),
+    (["recover", "--n", "2", "--m", "20", "--amplitude", "5", "--width", "1"],
+     "amplitude"),
+    (["pairing", "--n", "2", "--m", "20:40:20", "--amplitude", "0"], "amplitude"),
+    (["recover", "--model", WPL, "--m", "1"], "m"),
+    (["pullback", "--n", "1", "--m", "-1"], "m"),
+    (["pullback", "--n", "2", "--points", "0"], "points"),
+    (["charsum", "--cases", "1", "--seed", "-1"], "seed"),
+    (["phase", "--out", "no/such/dir/report.json"], "out"),
+    (["rrk", "--n", "2", "--m", "0:10000000000"], "m"),
 ])
 def test_invalid_value_fails_on_its_field(runner, args, field):
     result = runner.invoke(main, args)

@@ -1,0 +1,96 @@
+"""Fuzz every registered check over small, hostile domains of its options.
+
+Every input must end in a report (exit 0 or 1), `FAIL <field>: ...` (exit 1)
+or a click usage error (exit 2), never in a traceback; a passing report must
+be byte-identical when the invocation is repeated.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from orbk.cli import CHECKS, main  # noqa: E402
+
+# (usual, hostile) values of each kind of option
+INTS = (["1", "2", "3"], ["0", "-1"])
+FLOATS = (["0.1", "0.5", "1", "3"], ["0", "-1", "nan", "inf", "1e-9"])
+DEGREES = (["2", "6", "2:8:2", "1:5", "0:4"],
+           ["0", "-2", "3:1", "-4:4:2", "1:5:0", "1:2:3:4", ":", "", "x"])
+MODELS = ([None, "football", '{"kind":"wpl","d":[2,3]}'],
+          ["wpl", "cone", '{"kind":"cone","group":{"order":3,"weights":[1,2]}}',
+           '{"kind":"football","n":"x"}', "[1]", "{", "no/such/file.json"])
+ILL_TYPED = ["x", [1], {}, None, True]
+
+
+def _values(flag, kind):
+    if flag == "--model":
+        return MODELS
+    if flag == "--n":
+        return INTS[0], INTS[1] + [None]
+    if flag == "--seed":  # seeds 2-4 draw dim-3 charsum cases of ~0.2-0.4 s each
+        return ["0", "1"], ["-1"]
+    if flag == "--m" and kind is str:
+        return DEGREES
+    return INTS if kind is int else FLOATS
+
+
+def _invocation(chk):
+    """Usual values for every declared option, at most one of them replaced
+    by a hostile value, a format, and an optional config file that sets one
+    option to a string or an ill-typed value."""
+    domains = [_values(flag, kind) for flag, kind, _ in chk.all_options()]
+    indices = st.integers(0, len(domains) - 1)
+    return st.tuples(
+        st.tuples(*(st.sampled_from(usual) for usual, _ in domains)),
+        st.none() | indices.flatmap(
+            lambda i: st.tuples(st.just(i), st.sampled_from(domains[i][1]))),
+        st.sampled_from(["json", "csv"]),
+        st.none() | indices.flatmap(
+            lambda i: st.tuples(st.just(i), st.sampled_from(domains[i][0] + ILL_TYPED))),
+    )
+
+
+def _argv(chk, drawn):
+    values, hostile, fmt, config = drawn
+    values = list(values)
+    if hostile is not None:
+        values[hostile[0]] = hostile[1]
+    argv = [chk.name, "--format", fmt, "--out", "report"]
+    for (flag, _, _), value in zip(chk.all_options(), values):
+        if value is not None:
+            argv += [flag, value]
+    if config is not None:
+        index, value = config
+        name = chk.all_options()[index][0].lstrip("-").replace("-", "_")
+        Path("cfg.json").write_text(json.dumps({name: value}))
+        argv += ["--config", "cfg.json"]
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_every_input_ends_in_a_report_or_a_named_failure(name):
+    chk = CHECKS[name]
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(_invocation(chk))
+    def run(drawn):
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            argv = _argv(chk, drawn)
+            result = runner.invoke(main, argv)
+            assert result.exit_code in (0, 1, 2), (argv, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), \
+                (argv, result.exception)
+            if result.exit_code == 0:
+                first = Path("report").read_bytes()
+                again = runner.invoke(main, argv)
+                assert again.exit_code == 0
+                assert Path("report").read_bytes() == first, argv
+
+    run()

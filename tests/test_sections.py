@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from orbk.bergman import density, football_density_closed_form
-from orbk.errors import ModelSpecError, QuadratureError, UnsupportedModelError
+from orbk.errors import (
+    ModelSpecError,
+    ParameterError,
+    QuadratureError,
+    UnsupportedModelError,
+)
 from orbk.groups import MAX_DEGREE, GroupAction, invariant_monomials
 from orbk.models import build_cone, build_football, build_wpl
 from orbk.quadrature import QuadratureRule, monomial_norm_closed_form
@@ -117,6 +122,20 @@ def test_bump_calculus():
     assert np.allclose(bump.second_derivative(u), dd_num, atol=1e-5)
     assert bump.value(3.5) == 0.0
     assert bump.support_max == 3.0
+
+
+@pytest.mark.parametrize("args,field", [
+    ((0.1, 1.0, 0.0), "width"),
+    ((0.1, 1.0, -1.0), "width"),
+    ((0.1, 1.0, math.inf), "width"),
+    ((0.1, 1.0, math.nan), "width"),
+    ((0.1, math.nan, 3.0), "center"),
+    ((math.inf, 1.0, 3.0), "amplitude"),
+])
+def test_bump_rejects_degenerate_shapes(args, field):
+    with pytest.raises(ParameterError) as info:
+        RadialBump(*args)
+    assert info.value.field == field
 
 
 def test_perturbed_metric_positivity_guard():
