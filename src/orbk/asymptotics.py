@@ -10,12 +10,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .bergman import _log_terms, football_density_closed_form
 from .errors import ModelSpecError, NoiseFloorError, UnsupportedModelError
-from .groups import GroupAction, _exponent_vectors, is_invariant
+from .groups import GroupAction, lattice_blocks
 from .index import b_coefficient
 from .models import OrbifoldModel
 from .quadrature import QuadratureRule, integrate_radial
@@ -230,7 +231,10 @@ def character_sum_bound(
 
     orbit side: sum_g ((1 + <gz, z>)/(1 + |z|^2))^m over the group;
     invariant side: |G| * sum over invariant multi-indices of the multinomial
-    term.  Character orthogonality makes them equal.
+    term.  Character orthogonality makes them equal.  The invariant side masks
+    the multi-index lattice with the group's integer weights, takes each term
+    in log space from a log-factorial table, and sums with math.fsum, so the
+    value does not depend on how the lattice is blocked.
     """
     if action.order > 24 or m > 200 or action.dim > 3:
         raise ModelSpecError("character-sum bound limited to desk scale")
@@ -248,19 +252,17 @@ def character_sum_bound(
     log_abs2 = [
         (math.log(abs(zz) ** 2) if abs(zz) > 0 else -math.inf) for zz in z
     ]
-    lm = math.lgamma(m + 1)
-    invariant = 0.0
-    for *alpha, a0 in _exponent_vectors(n + 1, m, None):  # a0 = m - |alpha|
-        if not is_invariant(action, alpha):
-            continue
-        lt = lm - math.lgamma(a0 + 1)
-        ok = True
-        for aj, laj in zip(alpha, log_abs2):
-            if aj > 0 and laj == -math.inf:
-                ok = False
-                break
-            lt += aj * laj - math.lgamma(aj + 1)
-        if ok:
-            invariant += math.exp(lt - m * math.log1p(norm2))
-    invariant *= action.order
-    return orbit.real, invariant
+    zero = np.isinf(log_abs2)
+    lgf = np.array([math.lgamma(k + 1) for k in range(m + 1)])  # log k!
+    lm, shift = lgf[m], m * math.log1p(norm2)
+
+    def block_terms(block):  # rows (alpha, m - |alpha|)
+        block = block[action.invariant_mask(block[:, :n])]
+        block = block[~np.any(block[:, :n][:, zero] > 0, axis=1)]  # z_j = 0 kills alpha_j > 0
+        lt = lm - lgf[block[:, n]]
+        for j in np.flatnonzero(~zero):
+            lt += block[:, j] * log_abs2[j] - lgf[block[:, j]]
+        return np.exp(lt - shift).tolist()
+
+    invariant = math.fsum(chain.from_iterable(map(block_terms, lattice_blocks(n + 1, m))))
+    return orbit.real, invariant * action.order

@@ -165,6 +165,8 @@ def _configured(chk: Check, params: dict, path: str | None) -> dict:
         if key not in options:
             _fail_field(key, "unknown config field")
         kind, default = options[key]
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            _fail_field(key, f"{value!r} is not an integer")  # click's INT would truncate
         try:  # a click type passes None through
             params[key] = click.types.convert_type(kind)(value)
         except (click.BadParameter, TypeError) as exc:
@@ -427,6 +429,9 @@ def localmodel_check(model, ms, x_points, y_points, tol):
     """Operator identities D0 R = 0 and R* R = I on the band-limited suite."""
     grid = ModelGrid(x_points=x_points, y_points=y_points)
     report = check_identities(grid, default_suite(grid))
+    if report.checked == 0:
+        raise ParameterError(f"no test function has a positive frequency that {y_points} "
+                             "y points resolve; nothing was checked", field="y_points")
     rows = []
     for i, (d0, rr, outside) in enumerate(zip(report.d0_residuals, report.rstar_r_residuals,
                                               report.outside_cone_fractions)):
@@ -443,10 +448,8 @@ def localmodel_check(model, ms, x_points, y_points, tol):
 def phase_check(model, ms, h, tol_grad, tol_hess):
     """Critical-point data of the reduced phase at (t, theta) = (1, 0)."""
     data = phase_critical_data(h=h)
-    grad_err = max(abs(g) for g in data.gradient + data.fd_gradient)
-    hess_ref = ((0.0, 1.0), (1.0, 1j))
-    hess_err = max(abs(data.fd_hessian[i][j] - hess_ref[i][j])
-                   for i in range(2) for j in range(2))
+    grad_err = float(np.max(np.abs(data.gradient + data.fd_gradient)))  # nan wins
+    hess_err = float(np.max(np.abs(np.subtract(data.fd_hessian, ((0.0, 1.0), (1.0, 1j))))))
     det_err = abs(data.determinant + 1.0)
     ok = grad_err < tol_grad and hess_err < tol_hess and det_err < tol_hess
     rows = [{"grad_err": grad_err, "fd_hessian_err": hess_err, "det": str(data.determinant)}]

@@ -1,24 +1,33 @@
 """Finite abelian diagonal unitary groups, characters, invariant monomials.
 
 Group elements are diagonal matrices diag(e^{2 pi i t_1}, ..., e^{2 pi i t_n})
-stored as tuples of exact rational rotation numbers t_j in [0, 1).  All
-invariance decisions are made with rational arithmetic; complex exponentials
-are evaluated only when a numeric value is requested.
+stored as tuples of exact rational rotation numbers t_j in [0, 1).  Each
+generator g is also held as integers: a modulus q_g (the lcm of its
+denominators) and weights W_gj = q_g t_j, so a multi-index alpha is invariant
+iff (W @ alpha) % q == 0.  Invariant monomials and the character-sum identity
+test whole blocks of a numpy multi-index lattice that way.  The Fraction path
+(`is_invariant`, `character_phase`, `character_sum`) is the exact oracle the
+tests compare against; complex exponentials are evaluated only when a numeric
+value is requested.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ModelSpecError
 
 MAX_DEGREE = 10_000
 MAX_RESULT_COUNT = 1_000_000
+BLOCK_ROWS = 1 << 16  # lattice rows held at once, above which a lattice is split
 
 RotationVector = tuple[Fraction, ...]
 
@@ -107,6 +116,22 @@ class GroupAction:
         """Diagonal entries e^{2 pi i t_j} of element g."""
         return tuple(cmath.exp(2j * cmath.pi * t) for t in self.elements[g])
 
+    @cached_property
+    def integer_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, q): per generator the modulus q_g = lcm of its denominators and
+        the integer weights W_gj = q_g t_j, shapes (generators, dim) and
+        (generators,)."""
+        moduli = [math.lcm(*(t.denominator for t in gen)) for gen in self.generators]
+        weights = [[t.numerator * (q // t.denominator) for t in gen]
+                   for gen, q in zip(self.generators, moduli)]
+        return (np.array(weights, dtype=np.int64).reshape(len(moduli), self.dim),
+                np.array(moduli, dtype=np.int64))
+
+    def invariant_mask(self, alphas: np.ndarray) -> np.ndarray:
+        """Which rows alpha of an integer array are trivial characters of G."""
+        weights, moduli = self.integer_weights
+        return np.all((alphas @ weights.T) % moduli == 0, axis=1)
+
 
 def character_phase(action: GroupAction, g: int, alpha: Sequence[int]) -> Fraction:
     """Exact rational phase (mod 1) of the character alpha at element g."""
@@ -146,19 +171,38 @@ def character_sum(action: GroupAction, alpha: Sequence[int]) -> tuple[complex, b
     return total, invariant
 
 
-def _exponent_vectors(dim: int, degree: int, weights: Sequence[int] | None):
-    """All alpha >= 0 with sum(alpha) == degree (or sum d_j alpha_j == degree)."""
-    if weights is None:
-        weights = [1] * dim
-    def rec(j, remaining):
-        if j == dim - 1:
-            if remaining % weights[j] == 0:
-                yield (remaining // weights[j],)
-            return
-        for a in range(remaining // weights[j] + 1):
-            for rest in rec(j + 1, remaining - a * weights[j]):
-                yield (a,) + rest
-    yield from rec(0, degree)
+def _expand(weights: Sequence[int], degree: int) -> np.ndarray:
+    """Every alpha >= 0 with sum_j w_j alpha_j == degree, rows in lexicographic
+    order: coordinates are expanded one at a time over the remaining budget and
+    the last one is what the budget leaves, when w_last divides it."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([degree], dtype=np.int64)
+    for w in weights[:-1]:
+        counts = rest // w + 1
+        parent = np.repeat(np.arange(len(rest)), counts)
+        a = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows[parent], a])
+        rest = rest[parent] - a * w
+    keep = rest % weights[-1] == 0
+    return np.column_stack([rows[keep], rest[keep] // weights[-1]])
+
+
+def lattice_blocks(dim: int, degree: int,
+                   weights: Sequence[int] | None = None) -> Iterator[np.ndarray]:
+    """All alpha >= 0 with sum(alpha) == degree (or sum d_j alpha_j == degree)
+    as int64 arrays whose rows, block after block, run in lexicographic order.
+
+    A lattice whose expansion could exceed BLOCK_ROWS rows (bounded by the
+    plain count C(degree + dim - 1, dim - 1)) is split by its leading
+    coordinate, so memory does not grow with the lattice.
+    """
+    weights = [1] * dim if weights is None else [int(w) for w in weights]
+    if math.comb(degree + dim - 1, dim - 1) <= BLOCK_ROWS:
+        yield _expand(weights, degree)
+        return
+    for a in range(degree // weights[0] + 1):
+        for block in lattice_blocks(dim - 1, degree - a * weights[0], weights[1:]):
+            yield np.column_stack([np.full(len(block), a, dtype=np.int64), block])
 
 
 def invariant_monomials(
@@ -179,10 +223,10 @@ def invariant_monomials(
                              field="m")
     if weights is not None and len(weights) != action.dim:
         raise ModelSpecError("degree weights inconsistent with action dimension")
-    out = []
-    for alpha in _exponent_vectors(action.dim, total_degree, weights):
-        if is_invariant(action, alpha):
-            out.append(alpha)
-            if len(out) > MAX_RESULT_COUNT:
-                raise ModelSpecError("invariant monomial count exceeds bound")
-    return sorted(out)
+    out: list[tuple[int, ...]] = []
+    for block in lattice_blocks(action.dim, total_degree, weights):
+        found = block[action.invariant_mask(block)]
+        if len(out) + len(found) > MAX_RESULT_COUNT:
+            raise ModelSpecError("invariant monomial count exceeds bound")
+        out.extend(map(tuple, found.tolist()))
+    return out

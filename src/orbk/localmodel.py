@@ -8,6 +8,7 @@ cone and are annihilated (and reported).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -126,6 +127,7 @@ class IdentityReport:
     d0_residuals: list[float]
     rstar_r_residuals: list[float]
     outside_cone_fractions: list[float]
+    checked: int  # functions with a positive-frequency part; the rest read 0
 
     @property
     def max_d0(self) -> float:
@@ -143,6 +145,7 @@ def check_identities(grid: ModelGrid, test_functions: list[np.ndarray]) -> Ident
     the annihilated (zero/negative frequency) fraction is reported separately.
     """
     d0_res, rr_res, outside = [], [], []
+    checked = 0
     for f in test_functions:
         fp = _positive_part(grid, f)
         nf = _l2_y(grid, fp)
@@ -152,6 +155,7 @@ def check_identities(grid: ModelGrid, test_functions: list[np.ndarray]) -> Ident
             d0_res.append(0.0)
             rr_res.append(0.0)
             continue
+        checked += 1
         g = apply_R(grid, f)
         d0_res.append(_l2_xy(grid, apply_D0(grid, g)) / nf)
         back = apply_R_star(grid, g)
@@ -160,6 +164,7 @@ def check_identities(grid: ModelGrid, test_functions: list[np.ndarray]) -> Ident
         d0_residuals=d0_res,
         rstar_r_residuals=rr_res,
         outside_cone_fractions=outside,
+        checked=checked,
     )
 
 
@@ -198,8 +203,10 @@ def phase_critical_data(h: float = 1e-3) -> PhaseData:
     """Critical point data of the reduced phase at (t, theta) = (1, 0).
 
     Analytic values (gradient 0, Hessian [[0, 1], [1, i]], det -1) are checked
-    by Richardson-extrapolated central differences.
+    by Richardson-extrapolated central differences of step h.
     """
+    if not 0 < h < math.inf:
+        raise ParameterError(f"step h must be positive and finite, not {h}", field="h")
     grad = (
         (np.exp(0j) - 1.0) / 1j,  # d_t at theta=0
         1.0 * np.exp(0j) - 1.0,   # d_theta at t=1

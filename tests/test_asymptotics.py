@@ -1,7 +1,10 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from orbk.asymptotics import (
     character_sum_bound,
@@ -13,9 +16,10 @@ from orbk.asymptotics import (
 )
 from orbk.bergman import football_density_closed_form
 from orbk.errors import ModelSpecError, NoiseFloorError, UnsupportedModelError
-from orbk.groups import GroupAction
+from orbk.cli import main
+from orbk.groups import MAX_DEGREE, GroupAction, is_invariant
 from orbk.models import build_football, build_wpl
-from orbk.sections import RadialBump
+from orbk.sections import RadialBump, build_section_space
 
 
 def test_fit_smooth_model_is_exact():
@@ -179,3 +183,65 @@ def test_character_bound_mu3_random_points():
 def test_character_bound_desk_scale_guard():
     with pytest.raises(ModelSpecError):
         character_sum_bound(GroupAction.cyclic(2, [1]), [0.5 + 0j], 10_000)
+
+
+def _invariant_side_reference(action, z, m):
+    """The invariant side term by term: is_invariant on each multi-index, the
+    log multinomial term accumulated with math.lgamma, summed in order."""
+    log_abs2 = [math.log(abs(zz) ** 2) if abs(zz) > 0 else -math.inf for zz in z]
+    shift = m * math.log1p(sum(abs(zz) ** 2 for zz in z))
+    total = 0.0
+    for alpha in itertools.product(range(m + 1), repeat=action.dim):
+        if sum(alpha) > m or not is_invariant(action, alpha):
+            continue
+        if any(a > 0 and la == -math.inf for a, la in zip(alpha, log_abs2)):
+            continue
+        lt = math.lgamma(m + 1) - math.lgamma(m - sum(alpha) + 1)
+        for a, la in zip(alpha, log_abs2):
+            if a > 0:
+                lt += a * la - math.lgamma(a + 1)
+        total += math.exp(lt - shift)
+    return action.order * total
+
+
+def test_character_bound_matches_sequential_reference():
+    rng = np.random.default_rng(3)
+    for case in range(24):
+        dim = int(rng.integers(1, 4))
+        order = int(rng.integers(2, 13))
+        action = GroupAction.cyclic(order, [int(w) for w in rng.integers(0, order, dim)])
+        z = [complex(a, b) for a, b in rng.normal(0, 0.7, size=(dim, 2))]
+        if case % 4 == 0:
+            z[int(rng.integers(0, dim))] = 0j  # only alpha_j = 0 survives there
+        m = int(rng.integers(1, 31))
+        orbit, invariant = character_sum_bound(action, z, m)
+        assert invariant == pytest.approx(_invariant_side_reference(action, z, m), rel=1e-12)
+        assert orbit == pytest.approx(invariant, rel=1e-10)
+
+
+def test_character_bound_at_declared_corner():
+    # dim 3, order 24, m = 200: the lattice is split into blocks
+    z = [0.1 + 0.02j, 0.05j, -0.08 + 0.03j]
+    for action in (GroupAction.cyclic(24, [1, 5, 7]),
+                   GroupAction.from_spec([{"order": 2, "weights": [1, 1, 0]},
+                                          {"order": 12, "weights": [1, 0, 5]}])):
+        assert action.order == 24
+        orbit, invariant = character_sum_bound(action, z, 200)
+        assert abs(invariant - 1.0) > 0.05  # not just the identity term
+        assert orbit == pytest.approx(invariant, rel=1e-10)
+
+
+def test_hot_paths_leave_the_fraction_oracle_alone(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact Fraction oracle was called on a hot path")
+
+    for module in [mod for name, mod in sys.modules.items() if name.startswith("orbk")]:
+        for name in ("is_invariant", "character_phase", "character_sum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    space = build_section_space(build_football(2), MAX_DEGREE)
+    assert space.dim == MAX_DEGREE // 2 + 1
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["charsum", "--cases", "100"])
+    assert result.exit_code == 0, result.output
+    assert "PASS charsum: 100 cases" in result.output

@@ -88,6 +88,7 @@ def test_unknown_config_field_rejected(runner, tmp_path):
     (["charsum"], {"cases": "3"}, "cases", 3),
     (["density", "--n", "2", "--m", "10"], {"r": "0.5"}, "r", 0.5),
     (["pullback", "--n", "2"], {"m": "4"}, "m", 4),
+    (["charsum"], {"cases": 3}, "cases", 3),
 ])
 def test_config_values_take_their_option_type(runner, tmp_path, args, config,
                                               field, value):
@@ -107,6 +108,8 @@ def test_config_values_take_their_option_type(runner, tmp_path, args, config,
     ({"cases": [3]}, "cases"),
     ({"cases": None}, "cases"),
     ([1, 2], "config"),
+    ({"cases": 3.7}, "cases"),  # click's INT would run 3 cases
+    ({"cases": float("inf")}, "cases"),
 ])
 def test_ill_typed_config_value_fails_on_its_field(runner, tmp_path, config, field):
     cfg = tmp_path / "cfg.json"
@@ -220,6 +223,11 @@ def test_no_degree_left_fails_on_m_field(runner, command):
     (["charsum", "--cases", "1", "--seed", "-1"], "seed"),
     (["phase", "--out", "no/such/dir/report.json"], "out"),
     (["rrk", "--n", "2", "--m", "0:10000000000"], "m"),
+    (["phase", "--h", "nan"], "h"),
+    (["phase", "--h", "inf"], "h"),
+    (["phase", "--h", "0"], "h"),
+    (["localmodel", "--y-points", "1"], "y_points"),  # no positive frequency: nothing checked
+    (["localmodel", "--y-points", "2"], "y_points"),
 ])
 def test_invalid_value_fails_on_its_field(runner, args, field):
     result = runner.invoke(main, args)

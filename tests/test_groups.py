@@ -1,16 +1,20 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from orbk import groups
 from orbk.errors import ModelSpecError
 from orbk.groups import (
+    MAX_DEGREE,
     GroupAction,
     character_sum,
     character_value,
     invariant_monomials,
     is_invariant,
 )
+from orbk.models import build_football, build_wpl
 
 
 def test_cyclic_basic_structure():
@@ -131,3 +135,67 @@ def test_from_spec_roundtrip():
     assert h.order == 2
     with pytest.raises(ModelSpecError):
         GroupAction.from_spec([{"order": 0, "weights": [1]}])
+
+
+def _fraction_monomials(action, degree, weights=None):
+    """The exact oracle: is_invariant over an itertools enumeration, in
+    lexicographic order (the last exponent is what the degree leaves)."""
+    weights = weights or (1,) * action.dim
+    out = []
+    for head in itertools.product(*(range(degree // w + 1) for w in weights[:-1])):
+        rest = degree - sum(a * w for a, w in zip(head, weights))
+        if rest >= 0 and rest % weights[-1] == 0:
+            alpha = head + (rest // weights[-1],)
+            if is_invariant(action, alpha):
+                out.append(alpha)
+    return out
+
+
+def _random_actions(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(1, 4))
+        gens = []
+        for _ in range(int(rng.integers(1, 3))):  # cyclic or two generators
+            order = int(rng.integers(2, 13))
+            gens.append([Fraction(int(w), order) for w in rng.integers(0, order, size=dim)])
+        weights = None if rng.random() < 0.5 else tuple(int(w) for w in rng.integers(1, 4, dim))
+        yield GroupAction.from_generators(dim, gens), int(rng.integers(0, 31)), weights
+
+
+def test_invariant_monomials_match_fraction_oracle_on_random_actions():
+    for action, degree, weights in _random_actions(seed=5, count=120):
+        assert (invariant_monomials(action, degree, weights)
+                == _fraction_monomials(action, degree, weights))
+
+
+MODELS = {f"football{n}": (build_football, (n,)) for n in range(1, 8)}
+MODELS.update({f"wpl{d0}_{d1}": (build_wpl, (d0, d1)) for d0, d1 in [(1, 2), (2, 3), (3, 5),
+                                                                     (2, 7)]})
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_section_bases_match_fraction_oracle(name):
+    build, args = MODELS[name]
+    model = build(*args)
+    for m in list(range(61)) + [997, 3000, 9870, MAX_DEGREE]:
+        assert model.section_basis(m) == _fraction_monomials(
+            model.basis_action, m, model.degree_weights)
+
+
+def test_lattice_blocks_split_by_leading_coordinate(monkeypatch):
+    whole = np.concatenate(list(groups.lattice_blocks(3, 40, (1, 2, 1))))
+    monkeypatch.setattr(groups, "BLOCK_ROWS", 50)
+    blocks = list(groups.lattice_blocks(3, 40, (1, 2, 1)))
+    assert len(blocks) > 1 and max(len(b) for b in blocks) <= 50
+    assert np.array_equal(np.concatenate(blocks), whole)
+    assert [tuple(r) for r in whole.tolist()] == _fraction_monomials(
+        GroupAction.trivial(3), 40, (1, 2, 1))
+
+
+def test_invariant_monomial_count_bound_raises(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_RESULT_COUNT", 100)
+    assert len(invariant_monomials(GroupAction.trivial(2), 99)) == 100
+    with pytest.raises(ModelSpecError):
+        invariant_monomials(GroupAction.trivial(2), 100)
+

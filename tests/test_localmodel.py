@@ -68,6 +68,13 @@ def test_negative_mode_outside_cone(grid):
     assert report.max_d0 == 0.0
 
 
+def test_identity_report_counts_checked_functions(grid):
+    report = check_identities(grid, [np.exp(-3j * grid.y), np.exp(2j * grid.y)])
+    assert report.checked == 1
+    tiny = ModelGrid(y_points=2)  # fftfreq 0, -1: no positive frequency at all
+    assert check_identities(tiny, default_suite(tiny)).checked == 0
+
+
 def test_default_suite_residuals(grid):
     report = check_identities(grid, default_suite(grid))
     assert report.max_d0 < 1e-6
