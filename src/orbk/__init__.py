@@ -10,7 +10,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .groups import GroupAction, character_sum, character_value, invariant_monomials
-from .models import OrbifoldModel, build_model, geodesic_distance_proxy
+from .models import OrbifoldModel, build_model
 from .quadrature import QuadratureRule, integrate_radial, monomial_norm_closed_form
 from .sections import (
     RadialBump,
@@ -18,13 +18,7 @@ from .sections import (
     build_perturbed_space,
     build_section_space,
 )
-from .bergman import (
-    density,
-    density_sweep,
-    football_density_closed_form,
-    metric_pullback_deviation,
-    split_density,
-)
+from .bergman import density, football_density_closed_form, metric_pullback_deviation
 from .asymptotics import (
     character_sum_bound,
     fit_decay_rate,

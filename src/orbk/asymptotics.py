@@ -7,14 +7,14 @@ leading coefficients are a_0 = a_1 = 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .bergman import _log_terms, football_density_closed_form
+from .bergman import (_log_terms, football_density_closed_form,
+                      football_offdiagonal_closed_form)
 from .errors import ModelSpecError, NoiseFloorError, UnsupportedModelError
 from .groups import GroupAction, lattice_blocks
 from .index import b_coefficient
@@ -148,14 +148,9 @@ def pair_with_test_function(
                              field="width")
 
     def value(m):
-        zetas = [cmath.exp(2j * cmath.pi * k / n) for k in range(1, n)]
-
         def f(u):
-            u = np.asarray(u, dtype=float)
-            tail = np.zeros_like(u)
-            for zeta in zetas:
-                tail = tail + (((1.0 + u * zeta) / (1.0 + u)) ** m).real
-            return (m + 1) * tail * phi.value(u) / (n * (1.0 + u) ** 2)
+            tail = football_offdiagonal_closed_form(n, m, u)
+            return tail * phi.value(u) / (n * (1.0 + u) ** 2)
 
         return integrate_radial(f, rule)
 
@@ -214,11 +209,7 @@ def lower_bound_scan(
         grid = np.linspace(0.0, 10.0, 200)
 
     def min_for(m):
-        vals = [
-            football_density_closed_form(n, m, float(u)) / (m + 1) ** model.dim
-            for u in grid
-        ]
-        return min(vals)
+        return float(np.min(football_density_closed_form(n, m, grid) / (m + 1) ** model.dim))
 
     mins = {m: min_for(m) for m in sorted(ms)}
     return mins, min(mins.values())

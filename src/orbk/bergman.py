@@ -1,30 +1,23 @@
-"""Bergman density: orthonormal-sum path, closed form, split, metric pullback."""
+"""Bergman density: the orthonormal-sum path and the football closed form.
+
+`density` sums the orthonormalised sections of any section space.  On the
+football CP^1/mu_n, at degrees m divisible by n, the density is also the
+closed form (m+1) sum_k ((1 + r zeta^k)/(1 + r))^m over the n-th roots of
+unity; one vectorised sum evaluates it and its off-diagonal part (k != 0),
+which the CLI checks, the pairing, the lower bound and the metric pullback
+read.
+"""
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, QuadratureError
-from .models import OrbifoldModel, geodesic_distance_proxy
 from .quadrature import integrate_radial
 from .sections import SectionSpace, _perturbed_radial_density
-
-
-@dataclass
-class DensitySample:
-    """Density values over a set of chart points."""
-
-    model: OrbifoldModel
-    power: int
-    chart_id: str
-    points: list[complex]
-    r_proxy: list[float]
-    values: list[float]
-    split: list[tuple[float, float]] | None = None
 
 
 def density(space: SectionSpace, z: complex, chart_id: str = "u0") -> float:
@@ -58,78 +51,41 @@ def _log_terms(space: SectionSpace, t) -> np.ndarray:
     )
 
 
-def football_density_closed_form(n: int, m: int, r: float) -> float:
-    """(m+1) sum_{k=0}^{n-1} ((1 + r e^{2 pi i k/n})/(1+r))^m at chart radius r."""
-    if r < 0:
-        raise ParameterError("r must be non-negative", field="r")
+def _root_of_unity_sum(n: int, m: int, r, start: float):
+    """(m+1) (start + sum_{k=1}^{n-1} Re(((1 + r zeta^k)/(1 + r))^m)), zeta = e^{2 pi i/n}.
+
+    Vectorised in r; a float for a scalar r.  The real and imaginary parts of
+    each term's base are divided by the real 1 + r one by one, as CPython's
+    complex / float division does (numpy's complex division multiplies by a
+    reciprocal), and the terms are added in k order, so the values are those
+    of a scalar complex loop.  The conjugate terms k and n - k make the sum
+    real, so only real parts are taken.
+    """
     if m % n != 0:
         raise ParameterError(f"degree {m} is not a multiple of {n}", field="m")
-    total = 0.0 + 0.0j
-    for k in range(n):
-        zeta = cmath.exp(2j * cmath.pi * k / n)
-        total += ((1.0 + r * zeta) / (1.0 + r)) ** m
-    total *= m + 1
-    if abs(total.imag) >= 1e-10:
-        raise AssertionError(f"closed-form imaginary part {total.imag} too large")
-    return total.real
-
-
-def football_offdiagonal_closed_form(n: int, m: int, r: float) -> float:
-    """The k != 0 part of the closed form: the exponentially small tail."""
-    total = 0.0 + 0.0j
+    r = np.asarray(r, dtype=float)
+    if (r < 0).any():
+        raise ParameterError("r must be non-negative", field="r")
+    s = 1.0 + r
+    w = np.empty(r.shape, dtype=complex)
+    total = np.full(r.shape, start)
     for k in range(1, n):
         zeta = cmath.exp(2j * cmath.pi * k / n)
-        total += ((1.0 + r * zeta) / (1.0 + r)) ** m
+        np.divide(1.0 + r * zeta.real, s, out=w.real)
+        np.divide(r * zeta.imag, s, out=w.imag)
+        total += (w ** m).real
     total *= m + 1
-    if abs(total.imag) >= 1e-10:
-        raise AssertionError(f"closed-form imaginary part {total.imag} too large")
-    return total.real
+    return float(total) if total.ndim == 0 else total
 
 
-def split_density(space: SectionSpace, z: complex) -> tuple[float, float]:
-    """(diagonal, off-diagonal) parts; diagonal is the smooth m+1 term."""
-    n = space.model.football_order()
-    m = space.power
-    r = abs(z) ** 2
-    diag = float(m + 1)
-    off = football_offdiagonal_closed_form(n, m, r)
-    total = density(space, z)
-    if abs((diag + off) - total) > 1e-10 * max(1.0, total):
-        raise AssertionError("split does not reassemble the density")
-    return diag, off
+def football_density_closed_form(n: int, m: int, r):
+    """(m+1) sum_{k=0}^{n-1} ((1 + r e^{2 pi i k/n})/(1+r))^m at chart radius r."""
+    return _root_of_unity_sum(n, m, r, 1.0)  # the k = 0 term is exactly 1
 
 
-def density_sweep(
-    model: OrbifoldModel,
-    power: int,
-    points: list[complex],
-    chart_id: str = "u0",
-) -> DensitySample:
-    """Closed-form density and its split on a set of chart points."""
-    n = model.football_order()
-    values = []
-    split = []
-    for z in points:
-        u = abs(z) ** 2
-        values.append(football_density_closed_form(n, power, u))
-        split.append((float(power + 1), football_offdiagonal_closed_form(n, power, u)))
-    return DensitySample(
-        model=model,
-        power=power,
-        chart_id=chart_id,
-        points=list(points),
-        r_proxy=[geodesic_distance_proxy(model, chart_id, z) for z in points],
-        values=values,
-        split=split,
-    )
-
-
-def _log_density_closed_form(n: int, m: int, x: float, y: float) -> float:
-    u = x * x + y * y
-    rho = football_density_closed_form(n, m, u)
-    if rho < 1e-300:
-        raise QuadratureError("density too small to take log")
-    return math.log(rho)
+def football_offdiagonal_closed_form(n: int, m: int, r):
+    """The k != 0 part of the closed form: the exponentially small tail."""
+    return _root_of_unity_sum(n, m, r, 0.0)
 
 
 def metric_pullback_deviation(
@@ -139,7 +95,7 @@ def metric_pullback_deviation(
 ) -> list[tuple[float, float]]:
     """|(1/m) d d-bar log rho_m| per grid point, via Richardson differences.
 
-    Returns (r_proxy, deviation) pairs.  d d-bar is a quarter Laplacian in the
+    Returns (|z|, deviation) pairs.  d d-bar is a quarter Laplacian in the
     chart coordinates; the 5-point stencil is evaluated at steps h and h/2.
     """
     n = space.model.football_order()
@@ -147,21 +103,21 @@ def metric_pullback_deviation(
     if m <= 0:
         raise ParameterError("the pullback deviation needs a positive degree", field="m")
 
-    def lap(x, y, step):
-        c = _log_density_closed_form(n, m, x, y)
-        s = (
-            _log_density_closed_form(n, m, x + step, y)
-            + _log_density_closed_form(n, m, x - step, y)
-            + _log_density_closed_form(n, m, x, y + step)
-            + _log_density_closed_form(n, m, x, y - step)
-        )
-        return (s - 4.0 * c) / step**2
+    def lap(c, four, step):
+        return (four[0] + four[1] + four[2] + four[3] - 4.0 * c) / step**2
 
     out = []
     for z in points:
         x, y = z.real, z.imag
-        d1 = lap(x, y, h)
-        d2 = lap(x, y, h / 2.0)
+        # the centre, then the four neighbours at step h and at step h/2
+        stencil = [(x, y)] + [p for step in (h, h / 2.0) for p in
+                              ((x + step, y), (x - step, y), (x, y + step), (x, y - step))]
+        rho = football_density_closed_form(n, m, [a * a + b * b for a, b in stencil])
+        if rho.min() < 1e-300:
+            raise QuadratureError("density too small to take log")
+        logs = [math.log(v) for v in rho]  # math.log, not np.log: the report's last bits
+        d1 = lap(logs[0], logs[1:5], h)
+        d2 = lap(logs[0], logs[5:], h / 2.0)
         richardson = (4.0 * d2 - d1) / 3.0
         ddbar = richardson / 4.0
         out.append((abs(z), abs(ddbar) / m))

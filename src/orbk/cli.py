@@ -25,8 +25,8 @@ import numpy as np
 
 from .asymptotics import (character_sum_bound, fit_decay_rate, fit_expansion,
                           lower_bound_scan, pair_with_test_function, recover_potential)
-from .bergman import (density, density_sweep, football_density_closed_form,
-                      metric_pullback_deviation)
+from .bergman import (density, football_density_closed_form,
+                      football_offdiagonal_closed_form, metric_pullback_deviation)
 from .errors import (ModelSpecError, NoiseFloorError, OrbkError, ParameterError,
                      UnsupportedModelError)
 from .groups import MAX_DEGREE, GroupAction
@@ -267,11 +267,12 @@ def density_check(model, ms, r, tol):
 @check("split", ("--m", str, "10"), ("--r", float, 0.7), ("--tol", float, 1e-10),
        degrees="exact")
 def split_check(model, ms, r, tol):
-    """Diagonal / off-diagonal split of the density."""
+    """Gram density against m+1 plus the off-diagonal closed form."""
+    nq, z = model.football_order(), _chart_point(r)
     rows = []
     for m in ms:
-        sample = density_sweep(model, m, [_chart_point(r)])
-        (diag, off), total = sample.split[0], sample.values[0]
+        diag, off = float(m + 1), football_offdiagonal_closed_form(nq, m, r)
+        total = density(build_section_space(model, m), z)
         rows.append({"m": m, "r": r, "diagonal": diag, "offdiagonal": off, "total": total,
                      "reassembly_err": abs(diag + off - total) / max(abs(total), 1.0)})
     ok = all(row["reassembly_err"] < tol for row in rows)

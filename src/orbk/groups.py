@@ -54,6 +54,8 @@ class GroupAction:
 
     @classmethod
     def from_generators(cls, dim: int, generators: Iterable[Sequence[Fraction]]) -> "GroupAction":
+        if dim < 1:
+            raise ModelSpecError(f"a group acts on C^dim with dim >= 1, not {dim}")
         gens = []
         for g in generators:
             if len(g) != dim:

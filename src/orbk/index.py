@@ -150,12 +150,13 @@ def point_correction(point: SingularPoint, m: int) -> CorrectionRecord:
     f = point.fiber_weight % d
     t_inv = pow(t, -1, d)
     exact = _s_value(d, f * m * t_inv) / d
-    # float cross-check of the same character sum
+    # float cross-check of the same character sum.  Both phases are reduced
+    # mod d in integers, and 1 - e^{i theta} = -2i sin(theta/2) e^{i theta/2}
+    # replaces the subtraction, which cancels digits when theta is small
     total = 0.0 + 0.0j
     for k in range(1, d):
-        num = cmath.exp(2j * cmath.pi * f * m * k / d)
-        den = 1.0 - cmath.exp(2j * cmath.pi * t * k / d)
-        total += num / den
+        a, b = f * m * k % d, t * k % d
+        total += 0.5j * cmath.exp(1j * math.pi * (2 * a - b) / d) / math.sin(math.pi * b / d)
     total /= d
     if abs(total - float(exact)) >= 1e-9:
         raise AssertionError(

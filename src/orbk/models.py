@@ -197,13 +197,3 @@ def build_model(spec) -> OrbifoldModel:
         raise ModelSpecError(f"bad {kind} spec: missing or invalid {exc}") from exc
     raise ModelSpecError(f"unknown model kind {kind!r}")
 
-
-def geodesic_distance_proxy(model: OrbifoldModel, chart_id: str, z: complex) -> float:
-    """Chart-radius distance to the singular point of the chart.
-
-    Comparable to geodesic distance near the singularity; +inf when the chart
-    carries no singular point.
-    """
-    if model.singular_point(chart_id) is None:
-        return math.inf
-    return abs(z)

@@ -5,13 +5,13 @@ import pytest
 
 from orbk.bergman import (
     density,
-    density_sweep,
     football_density_closed_form,
     football_offdiagonal_closed_form,
     integrated_density,
     metric_pullback_deviation,
-    split_density,
 )
+from orbk.errors import ParameterError
+from orbk.groups import MAX_DEGREE
 from orbk.models import build_football, build_wpl
 from orbk.sections import build_section_space
 
@@ -47,6 +47,53 @@ def test_large_degree_ratio_tends_to_one():
         assert football_density_closed_form(2, m, 1.0) / (m + 1) == pytest.approx(
             1.0, abs=1e-10
         )
+
+
+def test_closed_form_exact_values():
+    # the k = 0 term is exactly 1 and the k != 0 terms are exactly 1 at r = 0
+    for n in (1, 2, 3, 5, 7):
+        for m in (n, 60 * n, 3 * 70 * n, MAX_DEGREE - MAX_DEGREE % n):
+            assert football_density_closed_form(n, m, 0.0) == n * (m + 1)
+            assert np.all(football_density_closed_form(n, m, np.zeros(3)) == n * (m + 1))
+    for m in (0, 7, 150, MAX_DEGREE):
+        r = np.array([0.0, 0.3, 1.0, 4.2, 1e3])
+        assert np.all(football_density_closed_form(1, m, r) == m + 1)
+        assert np.all(football_offdiagonal_closed_form(1, m, r) == 0.0)
+
+
+def test_closed_form_scalar_and_array_forms_agree():
+    r = np.linspace(0.0, 10.0, 41)
+    for n, m in ((2, 10), (3, 300), (5, 1005)):
+        values = football_density_closed_form(n, m, r)
+        assert isinstance(football_density_closed_form(n, m, 0.5), float)
+        assert values.shape == r.shape
+        assert list(values) == [football_density_closed_form(n, m, float(u)) for u in r]
+        off = football_offdiagonal_closed_form(n, m, r)
+        assert np.allclose(m + 1 + off, values, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_closed_form_matches_high_precision_sum(n):
+    mpmath = pytest.importorskip("mpmath")
+    r = np.array([0.0, 0.01, 0.2, 0.5, 1.0, 1.7, 4.0, 10.0, 1e3])
+    top = MAX_DEGREE - MAX_DEGREE % n
+    for m in (n, 31 * n, 100 - 100 % n, 333 * n, top // 2 - top // 2 % n, top):
+        values = football_density_closed_form(n, m, r)
+        with mpmath.workdps(50):
+            zetas = [mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(n)]
+            for u, value in zip(r, values):
+                u = mpmath.mpf(float(u))
+                exact = (m + 1) * mpmath.re(sum(((1 + u * z) / (1 + u)) ** m for z in zetas))
+                assert abs(value - exact) <= 1e-11 * abs(exact), (m, u)
+
+
+def test_closed_form_rejects_bad_degree_and_radius():
+    with pytest.raises(ParameterError):
+        football_density_closed_form(3, 10, 0.5)
+    with pytest.raises(ParameterError):
+        football_offdiagonal_closed_form(2, 7, 0.5)
+    with pytest.raises(ParameterError):
+        football_density_closed_form(2, 10, np.array([0.5, -1.0]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -100,16 +147,6 @@ def test_split_smooth_has_no_offdiagonal():
     assert football_offdiagonal_closed_form(1, 7, 0.9) == 0.0
 
 
-def test_split_density_reassembles():
-    space = build_section_space(build_football(2), 8)
-    for r in (0.0, 0.4, 1.7):
-        diag, off = split_density(space, complex(math.sqrt(r)))
-        assert diag == pytest.approx(9.0)
-        assert diag + off == pytest.approx(
-            football_density_closed_form(2, 8, r), rel=1e-9
-        )
-
-
 def test_offdiagonal_exponential_bound():
     # |offdiag| <= n(m+1) e^{-delta m r'} along m for fixed r > 0
     n, r = 2, 0.5
@@ -118,17 +155,6 @@ def test_offdiagonal_exponential_bound():
         for m in range(10, 80, 2)
     ]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_density_sweep_shape_and_proxy():
-    model = build_football(2)
-    pts = [0j, 1.0 + 0j, 2.0 + 0j]
-    sample = density_sweep(model, 10, pts)
-    assert len(sample.values) == 3
-    assert sample.r_proxy[0] == 0.0
-    assert sample.values[0] == pytest.approx(2 * 11)
-    diag, off = sample.split[1]
-    assert diag + off == pytest.approx(sample.values[1], rel=1e-12)
 
 
 def test_trace_identity():

@@ -149,6 +149,42 @@ def test_decay_noise_floor_outcome(runner, tmp_path):
         assert report["summary"]["outcome"] == "noise_floor"
 
 
+@pytest.mark.parametrize("r", [0.0, 0.4, 1.7])
+def test_split_reassembles_gram_density(runner, tmp_path, r):
+    result = runner.invoke(main, ["split", "--n", "2", "--m", "8", "--r", str(r)])
+    assert result.exit_code == 0
+    (row,) = json.loads((tmp_path / "split_report.json").read_text())["rows"]
+    assert row["diagonal"] == 9.0
+    assert row["reassembly_err"] < 1e-10
+    # total is the Gram density, not the closed form it is compared with
+    assert row["total"] == pytest.approx(row["diagonal"] + row["offdiagonal"], rel=1e-10)
+
+
+@pytest.mark.parametrize("args", [
+    ["density", "--n", "3", "--m", "900", "--r", "1000"],
+    ["split", "--n", "6", "--m", "384", "--r", "1000"],
+    ["decay", "--n", "3", "--m", "600:1200:3", "--r", "1000"],
+])
+def test_closed_form_far_from_the_cone_point_ends_in_a_report(runner, tmp_path, args):
+    result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exit_code in (0, 1)
+    report = json.loads((tmp_path / f"{args[0]}_report.json").read_text())
+    jsonschema.validate(report, REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("model,mrange", [
+    ("3000", "0:3000:3000"),  # a football of order 3000, by --n
+    ('{"kind":"wpl","d":[9973,9967]}', "0:2"),
+])
+def test_rrk_at_large_group_orders(runner, tmp_path, model, mrange):
+    spec = ["--n", model] if model.isdigit() else ["--model", model]
+    result = runner.invoke(main, ["rrk", *spec, "--m", mrange])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "rrk_report.json").read_text())
+    assert all(row["match"] for row in report["rows"])
+
+
 def test_charsum_deterministic_seed(runner, tmp_path):
     r1 = runner.invoke(main, ["charsum", "--cases", "5", "--out", "c1.json"])
     r2 = runner.invoke(main, ["charsum", "--cases", "5", "--out", "c2.json"])
@@ -228,6 +264,8 @@ def test_no_degree_left_fails_on_m_field(runner, command):
     (["phase", "--h", "0"], "h"),
     (["localmodel", "--y-points", "1"], "y_points"),  # no positive frequency: nothing checked
     (["localmodel", "--y-points", "2"], "y_points"),
+    # a group with no weights acts on C^0: nothing to check
+    (["bcoef", "--model", '{"kind":"cone","group":{"order":2,"weights":[]}}'], "model"),
 ])
 def test_invalid_value_fails_on_its_field(runner, args, field):
     result = runner.invoke(main, args)

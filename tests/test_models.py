@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from orbk.errors import ModelSpecError, UnsupportedModelError
@@ -10,7 +8,6 @@ from orbk.models import (
     build_football,
     build_model,
     build_wpl,
-    geodesic_distance_proxy,
 )
 from orbk.sections import build_section_space
 
@@ -78,14 +75,6 @@ def test_closed_forms_need_a_football():
     for model in (build_wpl(1, 2), build_cone(GroupAction.cyclic(3, [1, 2]))):
         with pytest.raises(UnsupportedModelError):
             model.football_order()
-
-
-def test_distance_proxy():
-    football = build_football(2)
-    assert geodesic_distance_proxy(football, "u0", 0j) == 0.0
-    d = geodesic_distance_proxy(football, "u0", 1.0 + 0j)
-    assert 0 < d < math.inf
-    assert geodesic_distance_proxy(build_football(1), "u0", 1j) == math.inf
 
 
 def test_build_model_from_json_spec():
