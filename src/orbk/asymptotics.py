@@ -15,7 +15,7 @@ import numpy as np
 
 from .bergman import (_log_terms, football_density_closed_form,
                       football_offdiagonal_closed_form)
-from .errors import ModelSpecError, NoiseFloorError, UnsupportedModelError
+from .errors import ModelSpecError, NoiseFloorError, QuadratureError, UnsupportedModelError
 from .groups import GroupAction, lattice_blocks
 from .index import b_coefficient
 from .models import OrbifoldModel
@@ -152,7 +152,10 @@ def pair_with_test_function(
             tail = football_offdiagonal_closed_form(n, m, u)
             return tail * phi.value(u) / (n * (1.0 + u) ** 2)
 
-        return integrate_radial(f, rule)
+        try:
+            return integrate_radial(f, rule)
+        except QuadratureError as exc:
+            raise QuadratureError(f"pairing integral at degree {m}: {exc}", field="m") from exc
 
     values = {m: value(m) for m in ms}
     ms_sorted = sorted(values)

@@ -15,10 +15,11 @@ from orbk.asymptotics import (
     recover_potential,
 )
 from orbk.bergman import football_density_closed_form
-from orbk.errors import ModelSpecError, NoiseFloorError, UnsupportedModelError
+from orbk.errors import ModelSpecError, NoiseFloorError, OrbkError, UnsupportedModelError
 from orbk.cli import main
 from orbk.groups import MAX_DEGREE, GroupAction, is_invariant
 from orbk.models import build_football, build_wpl
+from orbk.quadrature import QuadratureRule
 from orbk.sections import RadialBump, build_section_space
 
 
@@ -116,6 +117,13 @@ def test_pairing_rejects_smooth_and_unbounded():
         pair_with_test_function(
             build_football(2), [10], RadialBump(1.0, 0.0, 1e7)
         )
+
+
+def test_pairing_quadrature_failure_names_the_degree():
+    starved = QuadratureRule(radial_nodes=8, max_radial_nodes=8)
+    with pytest.raises(OrbkError, match="degree 20") as info:
+        pair_with_test_function(build_football(2), [20], RadialBump(1.0, 0.0, 2.0), rule=starved)
+    assert info.value.field == "m"
 
 
 def test_recover_unperturbed_curve_tends_to_zero():

@@ -135,3 +135,49 @@ def test_phase_gradient_off_critical_set():
     h = 1e-6
     dth = (phase_function(t, th + h) - phase_function(t, th - h)) / (2 * h)
     assert abs(dth) > 1e-3
+
+
+def _grid_path(grid, f):
+    """The identities on the (x, y) grid: R, D_0 and R* applied, discrete L^2 norms."""
+    dy = 2.0 * np.pi / grid.y_points
+    fhat = np.fft.fft(f)
+    fhat[~grid.positive_mask()] = 0.0
+    fp = np.fft.ifft(fhat)
+    nf = np.sqrt(dy * np.sum(np.abs(fp) ** 2))
+    n_all = np.sqrt(dy * np.sum(np.abs(f) ** 2))
+    if nf <= 1e-12 * n_all:
+        return 0.0, 0.0, False
+    g = apply_R(grid, f)
+    d0 = np.sqrt(grid.hx * dy * np.sum(np.abs(apply_D0(grid, g)) ** 2)) / nf
+    rr = np.sqrt(dy * np.sum(np.abs(apply_R_star(grid, g) - fp) ** 2)) / nf
+    return d0, rr, True
+
+
+@pytest.mark.parametrize("x_points", [512, 1024])
+def test_mode_sums_match_grid_operators(x_points):
+    grid = ModelGrid(x_points=x_points)
+    y = grid.y
+    mixed = np.exp(-3j * y) + 0.5 * np.exp(2j * y) + 0.25j * np.exp(5j * y) + 0.1
+    suite = default_suite(grid) + [mixed]
+    report = check_identities(grid, suite)
+    oracle = [_grid_path(grid, f) for f in suite]
+    assert report.checked == sum(ok for *_, ok in oracle)
+    for d0, rr, ref in zip(report.d0_residuals, report.rstar_r_residuals, oracle):
+        assert d0 == pytest.approx(ref[0], rel=1e-7)
+        assert rr < 1e-13 and ref[1] < 1e-13
+
+
+def test_outside_cone_fraction_from_its_own_modes(grid):
+    report = check_identities(grid, default_suite(grid))
+    assert max(report.outside_cone_fractions) < 1e-14  # only positive modes
+    mixed = np.exp(-3j * grid.y) + np.exp(2j * grid.y)
+    half = check_identities(grid, [mixed]).outside_cone_fractions[0]
+    assert half == pytest.approx(2**-0.5, abs=1e-15)
+
+
+def test_check_identities_warns_once_per_unlimited_function(grid):
+    hot = np.exp(1j * (grid.y_points // 3) * grid.y)
+    with pytest.warns(UserWarning, match="band-limited") as record:
+        report = check_identities(grid, [hot, np.exp(2j * grid.y)])
+    assert len(record) == 1
+    assert len(report.d0_residuals) == 2 and report.checked == 2
