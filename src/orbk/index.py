@@ -50,26 +50,6 @@ class IndexReport:
     def matches_oracle(self) -> bool:
         return self.total == self.dimension_oracle
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "power": self.power,
-            "smooth_part": str(self.smooth_part),
-            "corrections": [
-                {
-                    "chart": c.chart_id,
-                    "order": c.group_order,
-                    "exact": str(c.exact),
-                    "numeric": c.numeric,
-                }
-                for c in self.corrections
-            ],
-            "total": str(self.total),
-            "total_numeric": float(self.total),
-            "dimension_oracle": self.dimension_oracle,
-            "matches_oracle": self.matches_oracle,
-        }
-
 
 def _det_factor(action: GroupAction, g: int) -> complex:
     out = 1.0 + 0.0j

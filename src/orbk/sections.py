@@ -12,7 +12,6 @@ one batched pass, each on a window around its own peak (see _log_norms).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -101,17 +100,6 @@ class SectionSpace:
     def transform(self) -> np.ndarray:
         """T with T* G T = I (diagonal by torus symmetry)."""
         return np.diag(np.exp(-0.5 * np.asarray(self.log_gram_diag)))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model.params | {"kind": self.model.kind},
-                "power": self.power,
-                "basis": [list(b) for b in self.basis],
-                "log_gram_diag": list(self.log_gram_diag),
-            },
-            sort_keys=True,
-        )
 
 
 # Rows whose per-row data (exponents, peaks, windows) is held at once.

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -217,6 +221,10 @@ CONE = '{"kind":"cone","group":{"order":3,"weights":[1,2]}}'
     ["density", "--model", WPL, "--m", "6"],
     ["pairing", "--n", "1"],
     ["rrk", "--model", CONE, "--m", "3"],
+    # a model with no singular point has no delta coefficient to check
+    ["bcoef", "--n", "1"],
+    ["bcoef", "--model", '{"kind":"wpl","d":[1,1]}'],
+    ["bcoef", "--model", '{"kind":"cone","group":{"order":1,"weights":[0]}}'],
 ])
 def test_unsupported_model_fails_on_model_field(runner, args):
     result = runner.invoke(main, args)
@@ -266,6 +274,12 @@ def test_no_degree_left_fails_on_m_field(runner, command):
     (["localmodel", "--y-points", "2"], "y_points"),
     # a group with no weights acts on C^0: nothing to check
     (["bcoef", "--model", '{"kind":"cone","group":{"order":2,"weights":[]}}'], "model"),
+    # radii are finite; decay is measured away from the cone point r = 0
+    (["density", "--n", "2", "--r", "inf"], "r"),
+    (["fit", "--n", "2", "--r", "inf"], "r"),
+    (["decay", "--n", "2", "--m", "10:200:2", "--r", "0"], "r"),
+    (["decay", "--n", "2", "--r", "inf"], "r"),
+    (["pullback", "--n", "2", "--r-max", "inf"], "r_max"),
 ])
 def test_invalid_value_fails_on_its_field(runner, args, field):
     result = runner.invoke(main, args)
@@ -279,3 +293,38 @@ def test_density_at_max_degree(runner, tmp_path):
     assert result.exit_code == 0
     report = json.loads((tmp_path / "density_report.json").read_text())
     assert report["rows"][0]["rel_err"] < 1e-9
+
+
+@pytest.mark.parametrize("args,degrees", [
+    (["rrk", "--n", "2", "--m", "10:2:-2"], [10, 8, 6, 4, 2]),
+    (["pairing", "--n", "2", "--m", "400:300:-50"], [300, 350, 400]),  # rounded and sorted
+])
+def test_degree_range_includes_its_stop_in_either_direction(runner, tmp_path, args, degrees):
+    result = runner.invoke(main, args + ["--out", "r.json"])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert [row["m"] for row in report["rows"]] == degrees
+
+
+# Runs the command line with the test-only packages unimportable.
+RUNTIME_ONLY = """
+import sys
+for name in ("jsonschema", "mpmath", "hypothesis"):
+    sys.modules[name] = None
+from orbk.cli import main
+main(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["bcoef", "--n", "3"],
+    ["density", "--n", "2", "--m", "4", "--r", "0.5"],
+])
+def test_cli_runs_without_the_test_dependencies(tmp_path, args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", RUNTIME_ONLY, *args], cwd=tmp_path,
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].startswith(f"PASS {args[0]}:")

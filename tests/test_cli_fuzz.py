@@ -2,7 +2,10 @@
 
 Every input must end in a report (exit 0 or 1), `FAIL <field>: ...` (exit 1)
 or a click usage error (exit 2), never in a traceback; a passing report must
-be byte-identical when the invocation is repeated.
+be byte-identical when the invocation is repeated.  Every report has the
+published shape: a json report validates against `REPORT_SCHEMA` with its
+`summary.pass` equal to the exit code's verdict, and a csv report has one
+field per column of its sorted header.
 """
 
 import json
@@ -12,10 +15,14 @@ import pytest
 from click.testing import CliRunner
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+jsonschema = pytest.importorskip("jsonschema")
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from orbk.cli import CHECKS, main  # noqa: E402
+from orbk.cli import CHECKS, REPORT_SCHEMA, main  # noqa: E402
+
+jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+REPORT = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 
 # (usual, hostile) values of each kind of option
 INTS = (["1", "2", "3"], ["0", "-1"])
@@ -73,12 +80,30 @@ def _argv(chk, drawn):
     return argv
 
 
+def _check_shape(path, fmt, passed):
+    """Check the report at `path` against the published shape."""
+    if fmt == "json":
+        report = json.loads(path.read_text())
+        REPORT.validate(report)
+        assert report["summary"]["pass"] is passed
+    else:
+        header, *lines = path.read_text().splitlines()
+        keys = header.split(",")
+        assert keys == sorted(set(keys))
+        assert all(len(line.split(",")) == len(keys) for line in lines)
+
+
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_every_input_ends_in_a_report_or_a_named_failure(name):
     chk = CHECKS[name]
+    shapes = set()  # formats of the reports checked
+    # the check's own defaults (on the football of order 2) write a report
+    defaults = tuple("2" if flag == "--n" else None if default is None else str(default)
+                     for flag, _, default in chk.all_options())
 
     @settings(derandomize=True, max_examples=30, deadline=None, database=None)
     @given(_invocation(chk))
+    @example((defaults, None, "json", None))
     def run(drawn):
         runner = CliRunner()
         with runner.isolated_filesystem():
@@ -87,6 +112,10 @@ def test_every_input_ends_in_a_report_or_a_named_failure(name):
             assert result.exit_code in (0, 1, 2), (argv, result.output)
             assert result.exception is None or isinstance(result.exception, SystemExit), \
                 (argv, result.exception)
+            if Path("report").exists():
+                assert result.exit_code in (0, 1), argv
+                _check_shape(Path("report"), drawn[2], result.exit_code == 0)
+                shapes.add(drawn[2])
             if result.exit_code == 0:
                 first = Path("report").read_bytes()
                 again = runner.invoke(main, argv)
@@ -94,3 +123,4 @@ def test_every_input_ends_in_a_report_or_a_named_failure(name):
                 assert Path("report").read_bytes() == first, argv
 
     run()
+    assert "json" in shapes  # at least one report was validated against the schema

@@ -124,11 +124,3 @@ def test_point_correction_is_exact_rational():
     rec = point_correction(point, 8)
     assert isinstance(rec.exact, Fraction)
     assert rec.numeric == pytest.approx(float(rec.exact), abs=1e-9)
-
-
-def test_report_as_dict():
-    report = rrk_euler_characteristic(build_football(2), 6)
-    d = report.as_dict()
-    assert d["total"] == "4"
-    assert d["dimension_oracle"] == 4
-    assert d["matches_oracle"] is True

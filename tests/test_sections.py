@@ -182,15 +182,6 @@ def test_small_bump_perturbs_gram_at_first_order():
     assert np.all(rel > 0)
 
 
-def test_section_space_json_roundtrip():
-    import json
-
-    space = build_section_space(build_football(2), 6)
-    payload = json.loads(space.to_json())
-    assert payload["power"] == 6
-    assert len(payload["basis"]) == space.dim
-
-
 def _chart_exponents(space):
     chart = space.model.charts[0]
     return [a[chart.fibre_index] * chart.root for a in space.basis]
