@@ -8,6 +8,7 @@ Every entry is the norm of a monomial read as t^e on chart u0.  In
 x = t/(1+t) its integrand is x^e (1-x)^(m-e), a peak at the Laplace point
 x* = e/m of width ~ 1/sqrt(m), so all entries of a space are integrated in
 one batched pass, each on a window around its own peak (see _log_norms).
+A radial bump moves each peak; the window is then centred on the moved one.
 """
 
 from __future__ import annotations
@@ -41,26 +42,23 @@ class RadialBump:
         if self.width <= 0:
             raise ParameterError("width must be positive", field="width")
 
-    def value(self, u):
+    def _shape(self, u):
+        """s = (u - c)/w, p = 1 - s^2 and the support mask |s| < 1."""
         s = (np.asarray(u, dtype=float) - self.center) / self.width
-        inside = np.abs(s) < 1.0
-        return np.where(inside, self.amplitude * (1.0 - s**2) ** 3, 0.0)
+        return s, 1.0 - s * s, np.abs(s) < 1.0
+
+    def value(self, u):
+        s, p, inside = self._shape(u)
+        return np.where(inside, self.amplitude * (p * p * p), 0.0)
 
     def derivative(self, u):
-        s = (np.asarray(u, dtype=float) - self.center) / self.width
-        inside = np.abs(s) < 1.0
-        return np.where(
-            inside, -6.0 * self.amplitude * s * (1.0 - s**2) ** 2 / self.width, 0.0
-        )
+        s, p, inside = self._shape(u)
+        return np.where(inside, -6.0 * self.amplitude * s * (p * p) / self.width, 0.0)
 
     def second_derivative(self, u):
-        s = (np.asarray(u, dtype=float) - self.center) / self.width
-        inside = np.abs(s) < 1.0
+        s, p, inside = self._shape(u)
         return np.where(
-            inside,
-            -6.0 * self.amplitude * (1.0 - s**2) * (1.0 - 5.0 * s**2) / self.width**2,
-            0.0,
-        )
+            inside, -6.0 * self.amplitude * p * (1.0 - 5.0 * s * s) / self.width**2, 0.0)
 
     @property
     def support_max(self) -> float:
@@ -107,20 +105,56 @@ _BLOCK = 256
 # A window holds every point where the log integrand is within this of its
 # peak; what lies outside weighs less than e^-40 of the peak.
 _DEPTH = 40.0
+# A bumped row's peak is bracketed on one of this many cells of the support
+# before Newton steps; peak and edge searches take at most _NEWTON_STEPS, and
+# an edge stops within _EDGE_SLACK of its level (any iterate is sound).
+_PEAK_CELLS = 64
+_NEWTON_STEPS = 12
+_EDGE_SLACK = 0.25
 
 
 def _log_bump_factor(t, phi: RadialBump, m: int):
     """log of e^{-m phi(t)} rho(t) (1+t)^2, the factor a bump puts on the
     degree-m norm integrand in x = t/(1+t); rho is the perturbed density
     _perturbed_radial_density, (1+t)^-2 without the bump."""
-    # the form is positive (checked on a grid); clamp for the log
+    # the form is positive (_factor_range); clamp for the log
     rho = np.maximum(_perturbed_radial_density(t, phi), 1e-300)
     return -m * phi.value(t) + np.log(rho) + 2.0 * np.log1p(t)
 
 
+def _factor_range(phi: RadialBump) -> tuple[float, float]:
+    """Least and greatest value of rho(t) (1+t)^2 over t >= 0, rho the
+    perturbed density; ModelSpecError (on amplitude) if the least is not
+    positive, i.e. the perturbed form is not a Kahler form.
+
+    Off the support the product is 1.  On it, 1 + (1+t)^2 (phi' + t phi'')
+    is a polynomial of degree 7 in s = (t-c)/w, whose extremes over
+    [max(-1, -c/w), 1] lie at the ends or at real roots of its derivative;
+    the real part of every root is tried, which only adds points.
+    """
+    amp, c, w = phi.amplitude, phi.center, phi.width
+    values = np.ones(1)
+    s_min = max(-1.0, -c / w)
+    if s_min < 1.0:
+        # coefficients from the constant term up: (1+t)^2 (1-s^2) times
+        # s (1-s^2) + (c/w + s)(1 - 5 s^2), the bracket of phi' + t phi''
+        poly = np.convolve(np.convolve([1.0 + c, w], [1.0 + c, w]), [1.0, 0.0, -1.0])
+        poly = -6.0 * amp / w * np.convolve(poly, [c / w, 2.0, -5.0 * c / w, -6.0])
+        poly[0] += 1.0
+        crit = np.roots((poly[1:] * np.arange(1, len(poly)))[::-1])
+        s = np.concatenate([[s_min, 1.0], np.clip(crit.real, s_min, 1.0)])
+        values = np.concatenate([values, np.polynomial.polynomial.polyval(s, poly)])
+    low, high = float(np.min(values)), float(np.max(values))
+    if low <= 0.0:
+        raise ModelSpecError(f"perturbed form not positive: rho (1+t)^2 reaches {low:.3e}",
+                             field="amplitude")
+    return low, high
+
+
 def _window(a, b, m: int, depth: float):
     """Offsets (left, right) from the peak x* = a/m of x^a (1-x)^b on [0, 1]
-    beyond which its log lies more than depth below the peak value.
+    beyond which its log lies more than depth below the peak value: the
+    window of an unperturbed row.
 
     With u = m d / a, v = m d / b and log1p(u) <= u - u^2/(2(1+u)) for u >= 0,
     log1p(u) <= u - u^2/2 for -1 < u <= 0, the log at offset d > 0 is at most
@@ -136,6 +170,89 @@ def _window(a, b, m: int, depth: float):
     return -np.minimum(reach(b, a), a / m), np.minimum(reach(a, b), b / m)
 
 
+def _peaks(phi: RadialBump, y, t_lo: float, t_hi: float):
+    """The t in (t_lo, t_hi) with k(t) = t/(1+t) + t phi'(t) = y, for y
+    strictly between k(t_lo) and k(t_hi): k increases (its derivative is
+    rho), so y is bracketed by one cell of a grid on [t_lo, t_hi], and
+    Newton steps stay in that cell."""
+    t_grid = np.linspace(t_lo, t_hi, _PEAK_CELLS + 1)
+    k_grid = t_grid / (1.0 + t_grid) + t_grid * phi.derivative(t_grid)
+    j = np.searchsorted(k_grid, y)
+    lo, hi = t_grid[j - 1], t_grid[j]
+    t = lo + (hi - lo) * (y - k_grid[j - 1]) / (k_grid[j] - k_grid[j - 1])
+    for _ in range(_NEWTON_STEPS):
+        step = (t / (1.0 + t) + t * phi.derivative(t) - y) / _perturbed_radial_density(t, phi)
+        t = np.clip(t - step, lo, hi)
+        if np.all(np.abs(step) <= 1e-12 * (1.0 + t)):
+            break
+    return t
+
+
+def _newton_edges(phi: RadialBump, m: int, a, level, tau):
+    """Newton steps on g(tau) = a tau - m psi(e^tau) - level, psi = log(1+t) +
+    phi, from points tau where g <= 0.  g is concave, so each step keeps
+    g <= 0 and moves towards the nearer root; stops once every g is within
+    _EDGE_SLACK of 0."""
+    for _ in range(_NEWTON_STEPS):
+        t = np.exp(tau)
+        g = a * tau - m * (np.log1p(t) + phi.value(t)) - level
+        if np.all(g >= -_EDGE_SLACK):
+            break
+        tau = tau - g / (a - m * (t / (1.0 + t) + t * phi.derivative(t)))
+    return tau
+
+
+def _bump_windows(phi: RadialBump, m: int, a, b, depth: float):
+    """Peak (x^, 1 - x^) of each row's bumped integrand and the offsets
+    (left, right) from x^ of its window, the points where the main part
+    L = a log t - m psi(t) lies depth below L(x^) (see _log_norms)."""
+    scale = max(m, 1)
+    xs, cxs = a / scale, (scale - a) / scale
+    with np.errstate(divide="ignore"):
+        t_hat = xs / cxs  # off the support the peak is the unperturbed one
+    t_lo, t_hi = max(0.0, phi.center - phi.width), max(0.0, phi.center + phi.width)
+    bumped = (t_lo / (1.0 + t_lo) < xs) & (xs < t_hi / (1.0 + t_hi))
+    if bumped.any():
+        t = _peaks(phi, xs[bumped], t_lo, t_hi)
+        t_hat[bumped] = t
+        xs[bumped], cxs[bumped] = t / (1.0 + t), 1.0 / (1.0 + t)
+    with np.errstate(invalid="ignore"):  # t^ = inf where b = 0: phi is 0 there
+        phi_hat = phi.value(t_hat)
+    level = (a * np.log(np.where(a > 0, xs, 1.0)) + b * np.log(np.where(b > 0, cxs, 1.0))
+             - m * phi_hat - depth)
+    # Starts with g <= 0: t psi' is 0 at t = 0 and has derivative rho > 0,
+    # so psi increases and L <= a tau - m psi(0); right of the support
+    # phi = 0 and L <= -b tau.
+    left, right = a > 0, b > 0
+    start = np.concatenate([
+        (level[left] + m * float(phi.value(0.0))) / a[left],
+        np.maximum(math.log(t_hi) if t_hi > 0 else -math.inf, -level[right] / b[right])])
+    tau = _newton_edges(phi, m, np.concatenate([a[left], a[right]]),
+                        np.concatenate([level[left], level[right]]), start)
+    lo, hi = -xs, cxs.copy()  # x = 0 and x = 1 where a row has no edge there
+    lo[left] = 1.0 / (1.0 + np.exp(-tau[:np.count_nonzero(left)])) - xs[left]
+    hi[right] = cxs[right] - 1.0 / (1.0 + np.exp(tau[np.count_nonzero(left):]))
+    return xs, cxs, lo, hi
+
+
+def _bump_groups(phi: RadialBump, xs, lo, hi):
+    """Rows by integrand and pieces: (rows, edges, bumped) with edges the
+    window split at every bump edge strictly inside it; rows whose window
+    misses the support carry no bump factor."""
+    ends = [e / (1.0 + e) if e > 0 else 0.0 for e in (phi.center - phi.width,
+                                                     phi.center + phi.width)]
+    offsets = np.column_stack([x - xs for x in ends])
+    touch = (lo < offsets[:, 1]) & (hi > offsets[:, 0])
+    inner = (lo[:, None] < offsets) & (offsets < hi[:, None]) & (np.array(ends) > 0.0)
+    count = np.count_nonzero(inner, axis=1)
+    breaks = np.sort(np.where(inner, offsets, np.inf), axis=1)  # inner ones first
+    groups = [(np.flatnonzero(~touch), np.column_stack([lo, hi])[~touch], False)]
+    for k in range(len(ends) + 1):
+        rows = np.flatnonzero(touch & (count == k))
+        groups.append((rows, np.column_stack([lo[rows], breaks[rows, :k], hi[rows]]), True))
+    return [group for group in groups if len(group[0])]
+
+
 def _log_norms(model: OrbifoldModel, m: int, basis, phi: RadialBump | None,
                rule: QuadratureRule | None):
     """log norm^2 of the degree-m basis monomials, each read as t^e on chart
@@ -143,50 +260,61 @@ def _log_norms(model: OrbifoldModel, m: int, basis, phi: RadialBump | None,
 
     The integrand t^e (1+t)^-m (1+t)^-2 dt / q is x^e (1-x)^(m-e) dx / q in
     x = t/(1+t), times _log_bump_factor under a bump.  Each row is integrated
-    in the offset d = x - x* from its peak x* = e/m, over its _window, split
-    at the bump edges.  A bump moves the log integrand by at most the spread
-    of its factor, so the window depth grows by that spread.
+    in the offset d = x - x^ from its peak x^ over a window outside which the
+    integrand weighs less than e^-40 of its peak.
+
+    Unperturbed, x^ = e/m and the window is _window.  Under a bump phi the
+    main part L = a log x + b log(1-x) - m phi(t), a = e, b = m - e, is
+    a tau - m psi(e^tau) in tau = log t with psi = log(1+t) + phi, and
+    L'' = -m t rho(t) < 0 in tau wherever the form is positive
+    (_factor_range).  So L is strictly concave: x^ solves x + t phi'(t) = a/m
+    (_peaks), {L >= L(x^) - depth} is one interval, and Newton from outside
+    reaches its edges (_newton_edges).  The rest of the integrand, log of
+    rho (1+t)^2, does not depend on m, so depth = 40 + its spread.  Rows
+    with a = 0 or b = 0 peak at x = 0 or 1 and have one edge.  A window is
+    split at the bump edges strictly inside it, and rows whose window misses
+    the support carry no bump factor.
     """
-    depth, breaks = _DEPTH, []
-    if phi is not None:
-        t = np.linspace(0.0, max(50.0, phi.support_max), 4001)
-        margin = float(np.min(_perturbed_radial_density(t, phi)))
-        if margin <= 0.0:
-            raise ModelSpecError(f"perturbed form not positive: margin {margin:.3e}",
-                                 field="amplitude")
-        depth += float(np.ptp(_log_bump_factor(t, phi, m)))
-        breaks = [edge / (1.0 + edge)
-                  for edge in (phi.center - phi.width, phi.center + phi.width) if edge > 0]
     chart = model.charts[0]
     scale = max(m, 1)  # m = 0: the constant integrand on [0, 1]
     log_q = math.log(model.quotient_order)
+    if phi is not None:
+        low, high = _factor_range(phi)
+        depth = _DEPTH + math.log(high) - math.log(low)
     logs, orders = [], []
     for start in range(0, len(basis), _BLOCK):
         a = chart.root * np.array([alpha[chart.fibre_index]
                                    for alpha in basis[start:start + _BLOCK]], dtype=float)
         b = m - a
-        xs, cxs = a / scale, (scale - a) / scale  # x* and 1 - x*
-        # x* where a = 0 and 1 - x* where b = 0 only meet zero exponents
+        if phi is None:
+            xs, cxs = a / scale, (scale - a) / scale  # x* and 1 - x*
+            lo, hi = _window(a, b, m, _DEPTH)
+            groups = [(np.arange(len(a)), np.column_stack([lo, hi]), False)]
+        else:
+            xs, cxs, lo, hi = _bump_windows(phi, m, a, b, depth)
+            groups = _bump_groups(phi, xs, lo, hi)
+        # x^ where a = 0 and 1 - x^ where b = 0 only meet zero exponents
         xs_safe = np.where(a > 0, xs, 1.0)
         cxs_safe = np.where(b > 0, cxs, 1.0)
-        lo, hi = _window(a, b, m, depth)
-        edges = np.column_stack([lo] + [np.clip(x - xs, lo, hi) for x in breaks] + [hi])
+        block, nodes = np.empty(len(a)), np.empty(len(a), dtype=int)
+        for sel, edges, bumped in groups:
+            def log_f(rows, d, sel=sel, bumped=bumped):
+                # a log1p(d / x^) + b log1p(-d / (1 - x^)), in place
+                rows = sel[rows]
+                lf = d / xs_safe[rows, None]
+                rest = d / -cxs_safe[rows, None]
+                with np.errstate(divide="ignore"):
+                    np.log1p(lf, out=lf)
+                    np.log1p(rest, out=rest)
+                lf *= a[rows, None]
+                rest *= b[rows, None]
+                lf += rest
+                if bumped:
+                    lf += _log_bump_factor((xs[rows, None] + d) / (cxs[rows, None] - d),
+                                           phi, m)
+                return lf
 
-        def log_f(rows, d):
-            # a log1p(d / x*) + b log1p(-d / (1 - x*)), in place
-            lf = d / xs_safe[rows, None]
-            rest = d / -cxs_safe[rows, None]
-            with np.errstate(divide="ignore"):
-                np.log1p(lf, out=lf)
-                np.log1p(rest, out=rest)
-            lf *= a[rows, None]
-            rest *= b[rows, None]
-            lf += rest
-            if phi is not None:
-                lf += _log_bump_factor((xs[rows, None] + d) / (cxs[rows, None] - d), phi, m)
-            return lf
-
-        block, nodes = integrate_windows(log_f, edges, rule)
+            block[sel], nodes[sel] = integrate_windows(log_f, edges, rule)
         peak = a * np.log(xs_safe) + b * np.log(cxs_safe) - log_q
         logs.extend((peak + block).tolist())
         orders.extend(nodes.tolist())
@@ -210,8 +338,8 @@ def build_perturbed_space(
 ) -> SectionSpace:
     """Like build_section_space but with weight h^m e^{-m phi} and volume of
     the perturbed form; the basis monomials are unchanged.  phi is a function
-    of the radial variable t of chart u0 (|z|^2 on a football), and the form
-    must be positive on [0, max(50, phi.support_max)]."""
+    of the radial variable t of chart u0 (|z|^2 on a football), and the
+    perturbed form must be positive (ModelSpecError on amplitude if not)."""
     return _build(model, power, phi, rule)
 
 

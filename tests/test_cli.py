@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -286,6 +287,18 @@ def test_invalid_value_fails_on_its_field(runner, args, field):
     assert result.exit_code == 1
     assert f"FAIL {field}:" in result.output
     assert isinstance(result.exception, SystemExit)  # not a traceback
+
+
+def test_narrow_bump_fails_on_amplitude_at_once(runner):
+    # rho reaches -241 on a support 0.01 wide that lies between the points of
+    # a t-grid 0.0125 apart; a guard that misses it leaves the window
+    # quadrature to fail after more than a minute
+    start = time.perf_counter()
+    result = runner.invoke(main, ["recover", "--n", "2", "--m", "20:100:20", "--amplitude",
+                                  "1e-3", "--center", "1.006", "--width", "0.005"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1
+    assert "FAIL amplitude:" in result.output
 
 
 def test_density_at_max_degree(runner, tmp_path):

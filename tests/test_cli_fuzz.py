@@ -33,9 +33,21 @@ MODELS = ([None, "football", '{"kind":"wpl","d":[2,3]}'],
           ["wpl", "cone", '{"kind":"cone","group":{"order":3,"weights":[1,2]}}',
            '{"kind":"football","n":"x"}', "[1]", "{", "no/such/file.json"])
 ILL_TYPED = ["x", [1], {}, None, True]
+# recover's usual bumps all give a positive form ((0.1, 1, 2) would not), and
+# its usual degrees a curve that can pass, so drawn invocations reach a report
+RECOVER = {"--amplitude": (["0.05", "0.1"], FLOATS[1]),
+           "--center": (["0.5", "1"], FLOATS[1]),
+           "--width": (["3", "3.5"], FLOATS[1] + ["0.005"]),
+           "--m": (["20", "40", "20:60:20", "20:100:40"], DEGREES[1])}
+# hostile in three options at once: a bump 0.01 wide whose form is negative
+# (rho reaches -241) between the points of a t-grid 0.0125 apart
+NARROW_BUMP = {"--m": "20:100:20", "--amplitude": "1e-3", "--center": "1.006",
+               "--width": "0.005"}
 
 
-def _values(flag, kind):
+def _values(name, flag, kind):
+    if name == "recover" and flag in RECOVER:
+        return RECOVER[flag]
     if flag == "--model":
         return MODELS
     if flag == "--n":
@@ -51,7 +63,7 @@ def _invocation(chk):
     """Usual values for every declared option, at most one of them replaced
     by a hostile value, a format, and an optional config file that sets one
     option to a string or an ill-typed value."""
-    domains = [_values(flag, kind) for flag, kind, _ in chk.all_options()]
+    domains = [_values(chk.name, flag, kind) for flag, kind, _ in chk.all_options()]
     indices = st.integers(0, len(domains) - 1)
     return st.tuples(
         st.tuples(*(st.sampled_from(usual) for usual, _ in domains)),
@@ -122,5 +134,8 @@ def test_every_input_ends_in_a_report_or_a_named_failure(name):
                 assert again.exit_code == 0
                 assert Path("report").read_bytes() == first, argv
 
+    if name == "recover":
+        run = example((tuple(NARROW_BUMP.get(flag, value) for (flag, _, _), value
+                             in zip(chk.all_options(), defaults)), None, "json", None))(run)
     run()
     assert "json" in shapes  # at least one report was validated against the schema
