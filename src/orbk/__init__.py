@@ -9,7 +9,8 @@ from .errors import (
     QuadratureError,
     UnsupportedModelError,
 )
-from .groups import GroupAction, character_sum, character_value, invariant_monomials
+from .groups import (GroupAction, character_sum, character_value, invariant_counts,
+                     invariant_monomials)
 from .models import OrbifoldModel, build_model
 from .quadrature import QuadratureRule, integrate_radial, monomial_norm_closed_form
 from .sections import (

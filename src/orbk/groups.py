@@ -173,20 +173,42 @@ def character_sum(action: GroupAction, alpha: Sequence[int]) -> tuple[complex, b
     return total, invariant
 
 
-def _expand(weights: Sequence[int], degree: int) -> np.ndarray:
-    """Every alpha >= 0 with sum_j w_j alpha_j == degree, rows in lexicographic
-    order: coordinates are expanded one at a time over the remaining budget and
-    the last one is what the budget leaves, when w_last divides it."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    rest = np.array([degree], dtype=np.int64)
+def _check_degree(degree: int) -> None:
+    if degree < 0:
+        raise ModelSpecError("degree must be non-negative", field="m")
+    if degree > MAX_DEGREE:
+        raise ModelSpecError(f"degree {degree} exceeds bound {MAX_DEGREE}", field="m")
+
+
+def _degree_weights(action: GroupAction, weights: Sequence[int] | None) -> list[int]:
+    if weights is None:
+        return [1] * action.dim
+    if len(weights) != action.dim:
+        raise ModelSpecError("degree weights inconsistent with action dimension")
+    return [int(w) for w in weights]
+
+
+def _expand(weights: Sequence[int], degrees: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every alpha >= 0 with sum_j w_j alpha_j equal to one of the degrees, and
+    per row the index of its degree.  Rows run degree by degree, each degree
+    in lexicographic order: coordinates are expanded one at a time over the
+    remaining budget and the last one is what the budget leaves, when w_last
+    divides it."""
+    rest = np.asarray(degrees, dtype=np.int64)
+    index = np.arange(len(rest))
+    columns: list[np.ndarray] = []  # 1-d until the end: 2-d boolean indexing is slow
     for w in weights[:-1]:
         counts = rest // w + 1
         parent = np.repeat(np.arange(len(rest)), counts)
         a = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = np.column_stack([rows[parent], a])
+        columns = [c[parent] for c in columns] + [a]
         rest = rest[parent] - a * w
-    keep = rest % weights[-1] == 0
-    return np.column_stack([rows[keep], rest[keep] // weights[-1]])
+        index = index[parent]
+    last = weights[-1]
+    if last != 1:
+        keep = rest % last == 0
+        columns, rest, index = [c[keep] for c in columns], rest[keep] // last, index[keep]
+    return np.column_stack(columns + [rest]), index
 
 
 def lattice_blocks(dim: int, degree: int,
@@ -200,7 +222,7 @@ def lattice_blocks(dim: int, degree: int,
     """
     weights = [1] * dim if weights is None else [int(w) for w in weights]
     if math.comb(degree + dim - 1, dim - 1) <= BLOCK_ROWS:
-        yield _expand(weights, degree)
+        yield _expand(weights, [degree])[0]
         return
     for a in range(degree // weights[0] + 1):
         for block in lattice_blocks(dim - 1, degree - a * weights[0], weights[1:]):
@@ -218,13 +240,8 @@ def invariant_monomials(
     weighted-degree rule sum_j d_j alpha_j = total_degree; None means plain
     total degree.
     """
-    if total_degree < 0:
-        raise ModelSpecError("degree must be non-negative", field="m")
-    if total_degree > MAX_DEGREE:
-        raise ModelSpecError(f"degree {total_degree} exceeds bound {MAX_DEGREE}",
-                             field="m")
-    if weights is not None and len(weights) != action.dim:
-        raise ModelSpecError("degree weights inconsistent with action dimension")
+    _check_degree(total_degree)
+    weights = _degree_weights(action, weights)
     out: list[tuple[int, ...]] = []
     for block in lattice_blocks(action.dim, total_degree, weights):
         found = block[action.invariant_mask(block)]
@@ -232,3 +249,39 @@ def invariant_monomials(
             raise ModelSpecError("invariant monomial count exceeds bound")
         out.extend(map(tuple, found.tolist()))
     return out
+
+
+def invariant_counts(action: GroupAction, degrees: Sequence[int],
+                     weights: Sequence[int] | None = None) -> np.ndarray:
+    """len(invariant_monomials(action, m, weights)) for every m in `degrees`,
+    in their order, without listing a monomial.
+
+    Every degree is checked before any is counted.  Consecutive degrees are
+    expanded together while their plain counts sum to at most BLOCK_ROWS; each
+    such chunk is masked once and its invariant rows are counted per degree
+    with np.bincount.  A degree whose plain count alone passes BLOCK_ROWS is
+    counted over its lattice_blocks.  A count lists nothing, so
+    MAX_RESULT_COUNT does not bound it.
+    """
+    degrees = [int(m) for m in degrees]
+    for m in degrees:
+        _check_degree(m)
+    weights = _degree_weights(action, weights)
+    plain = [math.comb(m + action.dim - 1, action.dim - 1) for m in degrees]
+    counts = np.zeros(len(degrees), dtype=np.int64)
+    start = 0
+    while start < len(degrees):
+        if plain[start] > BLOCK_ROWS:
+            blocks = lattice_blocks(action.dim, degrees[start], weights)
+            counts[start] = sum(int(np.count_nonzero(action.invariant_mask(b))) for b in blocks)
+            start += 1
+            continue
+        stop, held = start, 0
+        while stop < len(degrees) and held + plain[stop] <= BLOCK_ROWS:
+            held += plain[stop]
+            stop += 1
+        rows, index = _expand(weights, degrees[start:stop])
+        counts[start:stop] = np.bincount(index[action.invariant_mask(rows)],
+                                         minlength=stop - start)
+        start = stop
+    return counts

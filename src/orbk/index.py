@@ -1,6 +1,7 @@
 """Exact singular coefficients and Riemann-Roch-type Euler characteristics.
 
-All curve-level index arithmetic is done in exact rationals.  The singular
+All curve-level index arithmetic is exact: rationals, or integer numerators
+over one common denominator across a range of degrees.  The singular
 corrections use the equivariant form with the 1/|G| factor and the fiber
 character of the bundle frame; the correction of the cyclic point with data
 (d, tangent weight t, fiber exponent f, power m) reduces by substitution to
@@ -15,7 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModelSpecError, UnsupportedModelError
+import numpy as np
+
+from .errors import UnsupportedModelError
 from .groups import GroupAction
 from .models import OrbifoldModel, SingularPoint
 
@@ -33,18 +36,26 @@ class BCoefficient:
 class CorrectionRecord:
     chart_id: str
     group_order: int
-    exact: Fraction
+    twice_s: int  # 2 S_j: the correction is twice_s / (2 group_order)
     numeric: float
+
+    @property
+    def exact(self) -> Fraction:
+        return Fraction(self.twice_s, 2 * self.group_order)
 
 
 @dataclass(frozen=True)
 class IndexReport:
     kind: str
     power: int
-    smooth_part: Fraction
     corrections: tuple[CorrectionRecord, ...]
     total: Fraction
     dimension_oracle: int
+
+    @property
+    def smooth_part(self) -> Fraction:
+        """deg_orb + chi_orb/2: the total less the singular corrections."""
+        return self.total - sum((c.exact for c in self.corrections), Fraction(0))
 
     @property
     def matches_oracle(self) -> bool:
@@ -113,61 +124,73 @@ def det_positivity_check(point: SingularPoint) -> list[float]:
     return out
 
 
-def _s_value(d: int, j: int) -> Fraction:
-    """Exact S_j = sum_{k=1}^{d-1} zeta^{jk}/(1-zeta^k), j taken mod d."""
-    j %= d
-    if j == 0:
-        return Fraction(d - 1, 2)
-    return Fraction(j) - 1 - Fraction(d - 1, 2)
+def _s_value(d: int, j: np.ndarray) -> np.ndarray:
+    """Exact 2 S_j, S_j = sum_{k=1}^{d-1} zeta^{jk}/(1-zeta^k), for an int64
+    array of j already reduced mod d: d - 1 at j = 0, 2j - 2 - (d - 1) else."""
+    return np.where(j == 0, d - 1, 2 * j - 2 - (d - 1))
 
 
-def point_correction(point: SingularPoint, m: int) -> CorrectionRecord:
-    """Exact equivariant correction of one cyclic point for bundle power m."""
+CHECK_TERMS = 1 << 16  # (degree, k) terms of the float cross-check held at once
+
+
+def point_correction(point: SingularPoint, ms) -> list[CorrectionRecord]:
+    """Exact equivariant corrections of one cyclic point, one record per
+    bundle power of `ms`, each cross-checked against the float character sum."""
     d = point.group_order
     if len(point.tangent_weights) != 1:
         raise UnsupportedModelError("curve corrections need one tangent weight")
     t = point.tangent_weights[0] % d
     f = point.fiber_weight % d
-    t_inv = pow(t, -1, d)
-    exact = _s_value(d, f * m * t_inv) / d
-    # float cross-check of the same character sum.  Both phases are reduced
-    # mod d in integers, and 1 - e^{i theta} = -2i sin(theta/2) e^{i theta/2}
-    # replaces the subtraction, which cancels digits when theta is small
-    total = 0.0 + 0.0j
-    for k in range(1, d):
-        a, b = f * m * k % d, t * k % d
-        total += 0.5j * cmath.exp(1j * math.pi * (2 * a - b) / d) / math.sin(math.pi * b / d)
-    total /= d
-    if abs(total - float(exact)) >= 1e-9:
+    fm = f * np.asarray(ms, dtype=np.int64) % d
+    twice_s = _s_value(d, fm * pow(t, -1, d) % d)
+    # float cross-check of the same character sum, (degrees x (d-1)) terms a
+    # chunk.  Both phases are reduced mod d in integers, and 1 - e^{i theta} =
+    # -2i sin(theta/2) e^{i theta/2} replaces the subtraction, which cancels
+    # digits when theta is small
+    k = np.arange(1, d, dtype=np.int64)
+    b = t * k % d
+    sines = np.sin(np.pi * b / d)
+    numeric = np.empty(len(fm), dtype=complex)
+    step = max(1, CHECK_TERMS // max(d - 1, 1))
+    for lo in range(0, len(fm), step):
+        a = fm[lo:lo + step, None] * k % d
+        terms = 0.5j * np.exp(1j * np.pi * (2 * a - b) / d) / sines
+        numeric[lo:lo + step] = terms.sum(axis=1) / d
+    bad = np.flatnonzero(np.abs(numeric - twice_s / (2 * d)) >= 1e-9)
+    if len(bad):
+        i = bad[0]
         raise AssertionError(
-            f"exact correction {exact} disagrees with complex sum {total}"
-        )
-    return CorrectionRecord(
-        chart_id=point.chart_id, group_order=d, exact=exact, numeric=total.real
-    )
+            f"{point.chart_id} at m={ms[i]}: exact correction "
+            f"{Fraction(int(twice_s[i]), 2 * d)} disagrees with complex sum {numeric[i]}")
+    return [CorrectionRecord(point.chart_id, d, s, x)
+            for s, x in zip(twice_s.tolist(), numeric.real.tolist())]
 
 
-def rrk_euler_characteristic(model: OrbifoldModel, m: int) -> IndexReport:
-    """deg_orb + chi_orb/2 plus the equivariant singular corrections.
+def rrk_euler_characteristic(model: OrbifoldModel, ms) -> list[IndexReport]:
+    """deg_orb + chi_orb/2 plus the equivariant singular corrections, one
+    report per degree of `ms`.
 
-    deg_orb = m/q and chi_orb = sum over charts of 1/|G_chart|.  The total
-    must reproduce the section count of the basis rule exactly; the caller is
-    expected to treat any mismatch as a hard failure.
+    deg_orb = m/q and chi_orb = sum over charts of 1/|G_chart|.  The sum is
+    taken in int64 numerators over one common denominator (2q on the catalog's
+    curves, far from overflow).  The total must reproduce the section count of
+    the basis rule exactly; the caller is expected to treat any mismatch as a
+    hard failure.
     """
-    oracle = len(model.section_basis(m))
-    deg = Fraction(m, model.quotient_order)
-    chi = sum((Fraction(1, c.group.order) for c in model.charts), Fraction(0))
-    smooth = deg + chi / 2
-    corrections = tuple(point_correction(p, m) for p in model.singular_points)
-    total = smooth + sum((c.exact for c in corrections), Fraction(0))
-    return IndexReport(
-        kind=model.kind,
-        power=m,
-        smooth_part=smooth,
-        corrections=corrections,
-        total=total,
-        dimension_oracle=oracle,
-    )
+    ms = [int(m) for m in ms]
+    oracles = model.section_counts(ms).tolist()
+    q = model.quotient_order
+    orders = [c.group.order for c in model.charts]
+    points = model.singular_points
+    den = 2 * math.lcm(q, *orders, *(p.group_order for p in points))
+    total = np.asarray(ms, dtype=np.int64) * (den // q) + sum(den // (2 * g) for g in orders)
+    records = [point_correction(p, ms) for p in points]
+    for p, recs in zip(points, records):
+        scale = den // (2 * p.group_order)
+        total += scale * np.array([r.twice_s for r in recs], dtype=np.int64)
+    corrections = list(zip(*records)) if records else [()] * len(ms)
+    return [IndexReport(kind=model.kind, power=m, corrections=c, total=Fraction(n, den),
+                        dimension_oracle=o)
+            for m, c, n, o in zip(ms, corrections, total.tolist(), oracles)]
 
 
 def classical_cyclic_sum(n: int) -> tuple[float, float]:

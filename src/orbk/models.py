@@ -20,8 +20,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ModelSpecError, UnsupportedModelError
-from .groups import GroupAction, invariant_monomials
+from .groups import GroupAction, invariant_counts, invariant_monomials
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,18 @@ class OrbifoldModel:
                 return p
         return None
 
-    def section_basis(self, m: int) -> list[tuple[int, ...]]:
-        """Exponents of the monomial basis of the degree-m sections."""
+    def _sections_action(self) -> GroupAction:
         if self.basis_action is None:
             raise UnsupportedModelError(f"no global sections on a {self.kind}")
-        return invariant_monomials(self.basis_action, m, weights=self.degree_weights)
+        return self.basis_action
+
+    def section_basis(self, m: int) -> list[tuple[int, ...]]:
+        """Exponents of the monomial basis of the degree-m sections."""
+        return invariant_monomials(self._sections_action(), m, weights=self.degree_weights)
+
+    def section_counts(self, ms) -> np.ndarray:
+        """len(section_basis(m)) for every degree m of `ms`, in one pass."""
+        return invariant_counts(self._sections_action(), ms, weights=self.degree_weights)
 
     def football_order(self) -> int:
         """n of the football CP^1 / mu_n, which the closed forms need."""

@@ -71,16 +71,16 @@ def test_03_index_equals_dimension():
     t0 = time.monotonic()
     checked = 0
     for n in range(1, 7):
-        model = build_football(n)
-        for N in range(0, 31):
-            report = rrk_euler_characteristic(model, n * N)
+        reports = rrk_euler_characteristic(build_football(n), [n * N for N in range(0, 31)])
+        assert len(reports) == 31
+        for N, report in enumerate(reports):
             assert report.matches_oracle, (n, N)
             checked += 1
     for d in [(1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5), (5, 6),
               (2, 7), (3, 7), (4, 7), (5, 7), (6, 7)]:
-        model = build_wpl(*d)
-        for m in range(0, 61):
-            report = rrk_euler_characteristic(model, m)
+        reports = rrk_euler_characteristic(build_wpl(*d), range(0, 61))
+        assert len(reports) == 61
+        for m, report in enumerate(reports):
             assert report.matches_oracle, (d, m)
             checked += 1
     _report("criterion 3 (index = section count, exact rationals)",

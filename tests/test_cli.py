@@ -190,6 +190,27 @@ def test_rrk_at_large_group_orders(runner, tmp_path, model, mrange):
     assert all(row["match"] for row in report["rows"])
 
 
+def test_rrk_over_the_whole_degree_range(runner, tmp_path):
+    result = runner.invoke(main, ["rrk", "--model", '{"kind":"wpl","d":[2,3]}',
+                                  "--m", "0:10000"])
+    assert result.exit_code == 0, result.output
+    rows = json.loads((tmp_path / "rrk_report.json").read_text())["rows"]
+    assert [row["m"] for row in rows] == list(range(10001))
+    for row in rows:  # 2a + 3b = m: b has the parity of m and 3b <= m
+        count = len(range(row["m"] % 2, row["m"] // 3 + 1, 2))
+        assert row["oracle"] == count and row["total"] == str(count)
+
+
+def test_rrk_at_large_group_orders_over_a_range(runner, tmp_path):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["rrk", "--model", '{"kind":"wpl","d":[9973,9967]}',
+                                  "--m", "0:200"])
+    assert time.perf_counter() - start < 2.0
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "rrk_report.json").read_text())
+    assert len(report["rows"]) == 201 and all(row["match"] for row in report["rows"])
+
+
 def test_charsum_deterministic_seed(runner, tmp_path):
     r1 = runner.invoke(main, ["charsum", "--cases", "5", "--out", "c1.json"])
     r2 = runner.invoke(main, ["charsum", "--cases", "5", "--out", "c2.json"])
@@ -281,6 +302,9 @@ def test_no_degree_left_fails_on_m_field(runner, command):
     (["decay", "--n", "2", "--m", "10:200:2", "--r", "0"], "r"),
     (["decay", "--n", "2", "--r", "inf"], "r"),
     (["pullback", "--n", "2", "--r-max", "inf"], "r_max"),
+    # a bad degree anywhere in a range fails the whole range
+    (["rrk", "--n", "2", "--m", "5:-1:-1"], "m"),
+    (["rrk", "--n", "2", "--m", "9999:10001"], "m"),
 ])
 def test_invalid_value_fails_on_its_field(runner, args, field):
     result = runner.invoke(main, args)

@@ -33,12 +33,26 @@ MODELS = ([None, "football", '{"kind":"wpl","d":[2,3]}'],
           ["wpl", "cone", '{"kind":"cone","group":{"order":3,"weights":[1,2]}}',
            '{"kind":"football","n":"x"}', "[1]", "{", "no/such/file.json"])
 ILL_TYPED = ["x", [1], {}, None, True]
-# recover's usual bumps all give a positive form ((0.1, 1, 2) would not), and
-# its usual degrees a curve that can pass, so drawn invocations reach a report
-RECOVER = {"--amplitude": (["0.05", "0.1"], FLOATS[1]),
-           "--center": (["0.5", "1"], FLOATS[1]),
-           "--width": (["3", "3.5"], FLOATS[1] + ["0.005"]),
-           "--m": (["20", "40", "20:60:20", "20:100:40"], DEGREES[1])}
+# per check, usual values of its own so that drawn invocations reach a
+# report: recover's bumps all give a positive form ((0.1, 1, 2) would not) and
+# its degrees a curve that can pass; fit and decay get footballs (their closed
+# form knows no other model), enough degrees for a fit and radii away from the
+# cone point, localmodel power-of-two grids, and rrk also wide ranges in
+# either direction
+FIT = {"--model": ([None, "football"], MODELS[0][2:] + MODELS[1]),
+       "--m": (["10:200:2", "12:240:3", "20:400:4"], DEGREES[1]),
+       "--r": (["0.5", "1"], FLOATS[1])}
+GRID = (["64", "128", "256", "512"], INTS[1] + ["1", "100"])
+USUAL = {
+    "recover": {"--amplitude": (["0.05", "0.1"], FLOATS[1]),
+                "--center": (["0.5", "1"], FLOATS[1]),
+                "--width": (["3", "3.5"], FLOATS[1] + ["0.005"]),
+                "--m": (["20", "40", "20:60:20", "20:100:40"], DEGREES[1])},
+    "fit": FIT,
+    "decay": FIT,
+    "localmodel": {"--x-points": GRID, "--y-points": GRID},
+    "rrk": {"--m": (DEGREES[0] + ["0:400", "400:0:-7"], DEGREES[1])},
+}
 # hostile in three options at once: a bump 0.01 wide whose form is negative
 # (rho reaches -241) between the points of a t-grid 0.0125 apart
 NARROW_BUMP = {"--m": "20:100:20", "--amplitude": "1e-3", "--center": "1.006",
@@ -46,8 +60,8 @@ NARROW_BUMP = {"--m": "20:100:20", "--amplitude": "1e-3", "--center": "1.006",
 
 
 def _values(name, flag, kind):
-    if name == "recover" and flag in RECOVER:
-        return RECOVER[flag]
+    if flag in USUAL.get(name, {}):
+        return USUAL[name][flag]
     if flag == "--model":
         return MODELS
     if flag == "--n":

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from orbk.groups import (
     GroupAction,
     character_sum,
     character_value,
+    invariant_counts,
     invariant_monomials,
     is_invariant,
 )
@@ -199,3 +201,63 @@ def test_invariant_monomial_count_bound_raises(monkeypatch):
     with pytest.raises(ModelSpecError):
         invariant_monomials(GroupAction.trivial(2), 100)
 
+
+def _listed_counts(action, degrees, weights=None):
+    return [len(invariant_monomials(action, m, weights)) for m in degrees]
+
+
+def test_invariant_counts_match_listed_bases_on_random_actions():
+    for action, degree, weights in _random_actions(seed=5, count=120):
+        degrees = list(range(31)) + [degree]
+        assert invariant_counts(action, degrees, weights).tolist() == _listed_counts(
+            action, degrees, weights)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_section_counts_match_section_bases(name):
+    build, args = MODELS[name]
+    model = build(*args)
+    degrees = list(range(201)) + [9870, MAX_DEGREE]
+    assert model.section_counts(degrees).tolist() == [len(model.section_basis(m))
+                                                      for m in degrees]
+
+
+@pytest.mark.parametrize("degrees", [
+    [7, 0, 30, 2, 19],  # unsorted
+    list(range(10, 1, -2)),  # descending, as --m 10:2:-2 gives
+    [5, 5, 0, 5, 12, 0],  # duplicated
+    [],
+])
+def test_invariant_counts_keep_the_order_of_the_degrees(degrees):
+    for action, weights in [(GroupAction.cyclic(3, [1, 2, 0]), None),
+                            (GroupAction.cyclic(4, [1, 3]), (2, 3))]:
+        counts = invariant_counts(action, degrees, weights)
+        assert counts.tolist() == _listed_counts(action, degrees, weights)
+
+
+def test_invariant_counts_chunks_end_inside_a_degree_list(monkeypatch):
+    action, weights = GroupAction.from_generators(
+        3, [[Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)]]), (1, 2, 1)
+    # plain counts 55, 10, 120, 1, 45, 45, 78, 3, 105: with 50 rows a chunk, the
+    # small ones share chunks and the others are counted over lattice_blocks
+    degrees = [9, 3, 14, 0, 8, 8, 11, 1, 13]
+    whole = invariant_counts(action, degrees, weights).tolist()
+    monkeypatch.setattr(groups, "BLOCK_ROWS", 50)
+    calls = []
+    expand = groups._expand
+    monkeypatch.setattr(groups, "_expand",
+                        lambda w, ds: calls.append(list(ds)) or expand(w, ds))
+    assert invariant_counts(action, degrees, weights).tolist() == whole
+    assert whole == _listed_counts(action, degrees, weights)
+    chunks = [c for c in calls if len(c) > 1]
+    assert chunks and all(sum(math.comb(m + 2, 2) for m in c) <= 50 for c in chunks)
+
+
+@pytest.mark.parametrize("bad,message", [(-1, "non-negative"),
+                                         (MAX_DEGREE + 1, "exceeds bound")])
+def test_invariant_counts_check_every_degree_first(monkeypatch, bad, message):
+    monkeypatch.setattr(groups, "_expand", None)  # no degree may be counted
+    for degrees in ([bad], [3, bad], [5, 4, bad, 2]):
+        with pytest.raises(ModelSpecError, match=message) as info:
+            invariant_counts(GroupAction.trivial(2), degrees)
+        assert info.value.field == "m"

@@ -1,7 +1,10 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
+from orbk import index
 from orbk.groups import GroupAction
 from orbk.index import (
     b_coefficient,
@@ -83,8 +86,10 @@ def test_football_index_closed_form():
     # smooth part m/n + 1/n plus two corrections of (n-1)/(2n) each... the
     # total telescopes to N + 1 for m = nN
     for n in (2, 3, 5):
-        for N in (0, 1, 7):
-            report = rrk_euler_characteristic(build_football(n), n * N)
+        Ns = (0, 1, 7)
+        reports = rrk_euler_characteristic(build_football(n), [n * N for N in Ns])
+        for N, report in zip(Ns, reports):
+            assert report.power == n * N
             assert report.total == N + 1
             assert report.dimension_oracle == N + 1
             assert report.matches_oracle
@@ -93,16 +98,16 @@ def test_football_index_closed_form():
 def test_football_index_off_step_degrees():
     # degrees that are not multiples of n still count correctly
     model = build_football(3)
-    for m in range(0, 40):
-        report = rrk_euler_characteristic(model, m)
+    reports = rrk_euler_characteristic(model, range(0, 40))
+    assert len(reports) == 40
+    for m, report in enumerate(reports):
         assert report.matches_oracle, m
         assert report.dimension_oracle == m // 3 + 1
 
 
 def test_wpl_one_two_parity():
     model = build_wpl(1, 2)
-    for m in range(0, 30):
-        report = rrk_euler_characteristic(model, m)
+    for m, report in enumerate(rrk_euler_characteristic(model, range(0, 30))):
         assert report.matches_oracle
         expected = m // 2 + 1
         assert report.total == expected
@@ -114,13 +119,60 @@ def test_wpl_one_two_parity():
 @pytest.mark.parametrize("d", [(2, 3), (3, 5), (4, 7), (5, 7), (6, 7)])
 def test_wpl_index_matches_lattice_count(d):
     model = build_wpl(*d)
-    for m in range(0, 61):
-        report = rrk_euler_characteristic(model, m)
+    for m, report in enumerate(rrk_euler_characteristic(model, range(0, 61))):
         assert report.matches_oracle, (d, m)
 
 
 def test_point_correction_is_exact_rational():
     point = build_football(4).singular_points[0]
-    rec = point_correction(point, 8)
+    (rec,) = point_correction(point, [8])
     assert isinstance(rec.exact, Fraction)
     assert rec.numeric == pytest.approx(float(rec.exact), abs=1e-9)
+
+
+def _scalar_index(model, m):
+    """The index of one degree as it was taken before ranges were batched:
+    Fraction sums, the per-k cmath cross-check and the listed basis.  Returns
+    the total, (exact, numeric) per singular point and the section count."""
+    corrections = []
+    for p in model.singular_points:
+        d = p.group_order
+        t, f = p.tangent_weights[0] % d, p.fiber_weight % d
+        j = f * m * pow(t, -1, d) % d
+        exact = (Fraction(d - 1, 2) if j == 0 else j - 1 - Fraction(d - 1, 2)) / d
+        numeric = 0j
+        for k in range(1, d):
+            a, b = f * m * k % d, t * k % d
+            numeric += (0.5j * cmath.exp(1j * math.pi * (2 * a - b) / d)
+                        / math.sin(math.pi * b / d))
+        corrections.append((exact, (numeric / d).real))
+    smooth = (Fraction(m, model.quotient_order)
+              + sum(Fraction(1, c.group.order) for c in model.charts) / 2)
+    total = smooth + sum(exact for exact, _ in corrections)
+    return total, corrections, len(model.section_basis(m))
+
+
+@pytest.mark.parametrize("model", [build_football(1), build_football(4), build_wpl(1, 2),
+                                   build_wpl(3, 5), build_wpl(6, 7)])
+def test_batched_index_matches_the_scalar_index(model):
+    ms = [0, 1, 2, 17, 60, 59, 3, 3, 211]  # unsorted, with a repeat
+    reports = rrk_euler_characteristic(model, ms)
+    assert [report.power for report in reports] == ms
+    for m, report in zip(ms, reports):
+        total, corrections, count = _scalar_index(model, m)
+        assert report.total == total
+        assert report.dimension_oracle == count
+        assert [c.exact for c in report.corrections] == [exact for exact, _ in corrections]
+        for c, (_, numeric) in zip(report.corrections, corrections):
+            assert c.numeric == pytest.approx(numeric, abs=1e-12)
+        assert report.smooth_part + sum(c.exact for c in report.corrections) == total
+
+
+def test_cross_check_catches_a_wrong_exact_value(monkeypatch):
+    # on the football of order 5, chart u0 reads j = 4m mod 5: j = 3 only at m = 2
+    right = index._s_value
+    monkeypatch.setattr(index, "_s_value", lambda d, j: right(d, j) + 2 * (j == 3))
+    model = build_football(5)
+    with pytest.raises(AssertionError, match=r"u0 at m=2: "):
+        rrk_euler_characteristic(model, [0, 1, 2, 3, 4])
+    rrk_euler_characteristic(model, [0, 1, 3, 4])  # no degree reads j = 3
