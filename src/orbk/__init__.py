@@ -9,8 +9,7 @@ from .errors import (
     QuadratureError,
     UnsupportedModelError,
 )
-from .groups import (GroupAction, character_sum, character_value, invariant_counts,
-                     invariant_monomials)
+from .groups import GroupAction, invariant_counts, invariant_monomials
 from .models import OrbifoldModel, build_model
 from .quadrature import QuadratureRule, integrate_radial, monomial_norm_closed_form
 from .sections import (
@@ -28,12 +27,7 @@ from .asymptotics import (
     pair_with_test_function,
     recover_potential,
 )
-from .index import (
-    b_coefficient,
-    classical_cyclic_sum,
-    det_positivity_check,
-    rrk_euler_characteristic,
-)
+from .index import b_coefficient, rrk_euler_characteristic
 from .localmodel import ModelGrid, apply_R, check_identities, phase_critical_data
 
 __version__ = "0.1.0"

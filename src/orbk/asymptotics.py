@@ -225,10 +225,12 @@ def character_sum_bound(
 
     orbit side: sum_g ((1 + <gz, z>)/(1 + |z|^2))^m over the group;
     invariant side: |G| * sum over invariant multi-indices of the multinomial
-    term.  Character orthogonality makes them equal.  The invariant side masks
-    the multi-index lattice with the group's integer weights, takes each term
-    in log space from a log-factorial table, and sums with math.fsum, so the
-    value does not depend on how the lattice is blocked.
+    term.  Character orthogonality makes them equal.  A multi-index with
+    alpha_j > 0 where z_j = 0 has a zero term, so the invariant side expands
+    only the coordinates with z_j != 0 plus the remainder m - |alpha|, masks
+    that lattice with the group's integer weights, takes each term in log
+    space from a log-factorial table, and sums with math.fsum, so the value
+    does not depend on how the lattice is blocked.
     """
     if action.order > 24 or m > 200 or action.dim > 3:
         raise ModelSpecError("character-sum bound limited to desk scale")
@@ -242,21 +244,18 @@ def character_sum_bound(
     if abs(orbit.imag) >= 1e-10 * max(1.0, abs(orbit.real)):
         raise AssertionError("orbit sum should be real")
 
-    n = action.dim
-    log_abs2 = [
-        (math.log(abs(zz) ** 2) if abs(zz) > 0 else -math.inf) for zz in z
-    ]
-    zero = np.isinf(log_abs2)
+    coords = [j for j, zz in enumerate(z) if abs(zz) > 0]
+    log_abs2 = [math.log(abs(z[j]) ** 2) for j in coords]
     lgf = np.array([math.lgamma(k + 1) for k in range(m + 1)])  # log k!
     lm, shift = lgf[m], m * math.log1p(norm2)
 
-    def block_terms(block):  # rows (alpha, m - |alpha|)
-        block = block[action.invariant_mask(block[:, :n])]
-        block = block[~np.any(block[:, :n][:, zero] > 0, axis=1)]  # z_j = 0 kills alpha_j > 0
-        lt = lm - lgf[block[:, n]]
-        for j in np.flatnonzero(~zero):
-            lt += block[:, j] * log_abs2[j] - lgf[block[:, j]]
+    def block_terms(block):  # rows (alpha at coords, m - |alpha|)
+        block = block[action.invariant_mask(block, coords)]
+        lt = lm - lgf[block[:, -1]]
+        for i, la in enumerate(log_abs2):
+            lt += block[:, i] * la - lgf[block[:, i]]
         return np.exp(lt - shift).tolist()
 
-    invariant = math.fsum(chain.from_iterable(map(block_terms, lattice_blocks(n + 1, m))))
+    blocks = lattice_blocks(len(coords) + 1, m)
+    invariant = math.fsum(chain.from_iterable(map(block_terms, blocks)))
     return orbit.real, invariant * action.order

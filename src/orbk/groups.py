@@ -1,14 +1,16 @@
-"""Finite abelian diagonal unitary groups, characters, invariant monomials.
+"""Finite abelian diagonal unitary groups and invariant monomials.
 
-Group elements are diagonal matrices diag(e^{2 pi i t_1}, ..., e^{2 pi i t_n})
-stored as tuples of exact rational rotation numbers t_j in [0, 1).  Each
-generator g is also held as integers: a modulus q_g (the lcm of its
-denominators) and weights W_gj = q_g t_j, so a multi-index alpha is invariant
-iff (W @ alpha) % q == 0.  Invariant monomials and the character-sum identity
-test whole blocks of a numpy multi-index lattice that way.  The Fraction path
-(`is_invariant`, `character_phase`, `character_sum`) is the exact oracle the
-tests compare against; complex exponentials are evaluated only when a numeric
-value is requested.
+A group is defined by integers: per generator g a modulus q_g and weights
+W_gj, acting by e^{2 pi i W_gj / q_g} on the j-th coordinate, each generator
+held reduced (W_g mod q_g, with q_g its order).  A multi-index alpha is
+invariant iff sum_j W_gj alpha_j = 0 mod q_g for every g; invariant monomials
+and the character-sum identity test whole blocks of a numpy multi-index
+lattice that way.  The elements are integer numerators e_j over the common
+denominator N = lcm(q), the element diag(e^{2 pi i e_j / N}), listed as the
+sums of generator multiples mod N.  The exact Fraction path (rational
+rotation numbers closed under addition, characters, the invariance test) is
+the oracle the tests compare against and lives with them; complex
+exponentials are evaluated only when a numeric value is requested.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,66 +28,52 @@ from .errors import ModelSpecError
 
 MAX_DEGREE = 10_000
 MAX_RESULT_COUNT = 1_000_000
+MAX_ORDER = 10_000  # group elements listed at most
 BLOCK_ROWS = 1 << 16  # lattice rows held at once, above which a lattice is split
-
-RotationVector = tuple[Fraction, ...]
-
-
-def _reduce_mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def _add(a: RotationVector, b: RotationVector) -> RotationVector:
-    return tuple(_reduce_mod1(x + y) for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A finite abelian group acting diagonally on C^dim."""
+    """A finite abelian group acting diagonally on C^dim, generated by
+    e^{2 pi i weights[g][j] / moduli[g]} on the j-th coordinate.  Its
+    elements are listed on construction."""
 
     dim: int
-    generators: tuple[RotationVector, ...]
-    elements: tuple[RotationVector, ...]
+    weights: tuple[tuple[int, ...], ...]
+    moduli: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ModelSpecError(f"a group acts on C^dim with dim >= 1, not {self.dim}")
+        if self.denominator > MAX_ORDER:  # the group has an element of order N
+            raise ModelSpecError("group closure exceeds supported order")
+        self.elements  # listed now, so a group past MAX_ORDER is refused here
 
     @classmethod
-    def from_generators(cls, dim: int, generators: Iterable[Sequence[Fraction]]) -> "GroupAction":
-        if dim < 1:
-            raise ModelSpecError(f"a group acts on C^dim with dim >= 1, not {dim}")
-        gens = []
-        for g in generators:
-            if len(g) != dim:
-                raise ModelSpecError(f"generator length {len(g)} != dim {dim}")
-            gens.append(tuple(_reduce_mod1(Fraction(x)) for x in g))
-        identity = tuple(Fraction(0) for _ in range(dim))
-        elements = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    s = _add(e, g)
-                    if s not in elements:
-                        elements.add(s)
-                        nxt.append(s)
-            frontier = nxt
-            if len(elements) > 10_000:
-                raise ModelSpecError("group closure exceeds supported order")
-        return cls(dim=dim, generators=tuple(gens), elements=tuple(sorted(elements)))
+    def from_integers(cls, dim: int, generators: Sequence[tuple[int, Sequence[int]]]
+                      ) -> "GroupAction":
+        """The group of the generators (q, w), each e^{2 pi i w_j / q} on the
+        j-th coordinate, held reduced: w mod q over the order q / gcd(q, w)."""
+        weights, moduli = [], []
+        for q, w in generators:
+            if q < 1:
+                raise ModelSpecError("group order must be positive")
+            if len(w) != dim:
+                raise ModelSpecError(f"generator length {len(w)} != dim {dim}")
+            w = [x % q for x in w]
+            k = math.gcd(q, *w)
+            weights.append(tuple(x // k for x in w))
+            moduli.append(q // k)
+        return cls(dim=dim, weights=tuple(weights), moduli=tuple(moduli))
 
     @classmethod
     def cyclic(cls, order: int, weights: Sequence[int]) -> "GroupAction":
         """mu_order acting by e^{2 pi i w_j / order} on the j-th coordinate."""
-        if order < 1:
-            raise ModelSpecError("group order must be positive")
-        return cls.from_generators(len(weights), [[Fraction(w, order) for w in weights]])
+        return cls.from_integers(len(weights), [(order, weights)])
 
     @classmethod
     def trivial(cls, dim: int) -> "GroupAction":
-        return cls.from_generators(dim, [])
+        return cls.from_integers(dim, [])
 
     @classmethod
     def from_spec(cls, spec) -> "GroupAction":
@@ -96,81 +83,69 @@ class GroupAction:
         if isinstance(spec, dict):
             spec = [spec]
         gens = []
-        dim = None
         for item in spec:
             try:
-                q = int(item["order"])
-                w = [int(x) for x in item["weights"]]
+                q, w = int(item["order"]), [int(x) for x in item["weights"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelSpecError(f"bad group spec entry: {item!r}") from exc
-            if q < 1:
-                raise ModelSpecError("group order must be positive")
-            if dim is None:
-                dim = len(w)
-            elif len(w) != dim:
+            if gens and len(w) != len(gens[0][1]):
                 raise ModelSpecError("generators have inconsistent dimension")
-            gens.append([Fraction(x, q) for x in w])
-        if dim is None:
+            gens.append((q, w))
+        if not gens:
             raise ModelSpecError("empty group spec")
-        return cls.from_generators(dim, gens)
-
-    def element_matrix_diagonal(self, g: int) -> tuple[complex, ...]:
-        """Diagonal entries e^{2 pi i t_j} of element g."""
-        return tuple(cmath.exp(2j * cmath.pi * t) for t in self.elements[g])
+        return cls.from_integers(len(gens[0][1]), gens)
 
     @cached_property
-    def integer_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, q): per generator the modulus q_g = lcm of its denominators and
-        the integer weights W_gj = q_g t_j, shapes (generators, dim) and
-        (generators,)."""
-        moduli = [math.lcm(*(t.denominator for t in gen)) for gen in self.generators]
-        weights = [[t.numerator * (q // t.denominator) for t in gen]
-                   for gen, q in zip(self.generators, moduli)]
-        return (np.array(weights, dtype=np.int64).reshape(len(moduli), self.dim),
-                np.array(moduli, dtype=np.int64))
+    def denominator(self) -> int:
+        """N = lcm(q), over which every element's numerators are integers."""
+        return math.lcm(*self.moduli)
 
-    def invariant_mask(self, alphas: np.ndarray) -> np.ndarray:
-        """Which rows alpha of an integer array are trivial characters of G."""
-        weights, moduli = self.integer_weights
-        return np.all((alphas @ weights.T) % moduli == 0, axis=1)
+    @cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """Every element as its numerators e_j in [0, N) over N, sorted.
 
+        Each generator adds the cosets group + k * generator (mod N) for
+        k = 1, 2, ... until k * generator lies in the group already.
+        """
+        n = self.denominator
+        group = {(0,) * self.dim}
+        for w, q in zip(self.weights, self.moduli):
+            step = [x * (n // q) for x in w]
+            base = list(group)
+            shift = tuple(step)
+            while shift not in group:
+                group.update(tuple((a + b) % n for a, b in zip(e, shift)) for e in base)
+                if len(group) > MAX_ORDER:
+                    raise ModelSpecError("group closure exceeds supported order")
+                shift = tuple((a + b) % n for a, b in zip(shift, step))
+        return tuple(sorted(group))
 
-def character_phase(action: GroupAction, g: int, alpha: Sequence[int]) -> Fraction:
-    """Exact rational phase (mod 1) of the character alpha at element g."""
-    rot = action.elements[g]
-    return _reduce_mod1(sum((Fraction(a) * t for a, t in zip(alpha, rot)), Fraction(0)))
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
+    def element_matrix_diagonal(self, g: int) -> tuple[complex, ...]:
+        """Diagonal entries e^{2 pi i e_j / N} of element g."""
+        n = self.denominator
+        return tuple(cmath.exp(2j * cmath.pi * (e / n)) for e in self.elements[g])
 
-def character_value(action: GroupAction, g: int, alpha: Sequence[int]) -> complex:
-    """alpha(g) = exp(2 pi i sum_j alpha_j t_j(g)), computed from the exact phase."""
-    if g >= action.order:
-        raise IndexError(f"element index {g} out of range (order {action.order})")
-    return cmath.exp(2j * cmath.pi * character_phase(action, g, alpha))
+    def invariant_mask(self, alphas: np.ndarray,
+                       coords: Sequence[int] | None = None) -> np.ndarray:
+        """Which rows alpha of an integer array are trivial characters of G.
 
-
-def is_invariant(action: GroupAction, alpha: Sequence[int]) -> bool:
-    """Exact test: the character alpha is trivial on every generator."""
-    for gen in action.generators:
-        phase = sum((Fraction(a) * t for a, t in zip(alpha, gen)), Fraction(0))
-        if phase.denominator != 1:
-            return False
-    return True
-
-
-def character_sum(action: GroupAction, alpha: Sequence[int]) -> tuple[complex, bool]:
-    """Sum of alpha(g) over the group, with the exact invariance verdict.
-
-    The complex sum equals |G| when alpha is trivial on G and 0 otherwise;
-    both facts are asserted against the rational-arithmetic verdict.
-    """
-    total = sum(character_value(action, g, alpha) for g in range(action.order))
-    invariant = is_invariant(action, alpha)
-    expected = float(action.order) if invariant else 0.0
-    if abs(total - expected) >= 1e-10:
-        raise AssertionError(
-            f"character sum {total} inconsistent with invariance verdict {invariant}"
-        )
-    return total, invariant
+        Column i holds alpha at coordinate coords[i] (all coordinates in
+        order by default); the coordinates not listed are 0 and further
+        columns are ignored.  Each generator's phase is a sum of columns.
+        """
+        coords = range(self.dim) if coords is None else coords
+        keep = np.ones(len(alphas), dtype=bool)
+        for w, q in zip(self.weights, self.moduli):
+            phase = np.zeros(len(alphas), dtype=np.int64)
+            for i, j in enumerate(coords):
+                if w[j]:
+                    phase += alphas[:, i] * w[j]
+            keep &= np.remainder(phase, q, out=phase) == 0
+        return keep
 
 
 def _check_degree(degree: int) -> None:

@@ -63,9 +63,10 @@ class IndexReport:
 
 
 def _det_factor(action: GroupAction, g: int) -> complex:
+    n = action.denominator
     out = 1.0 + 0.0j
-    for t in action.elements[g]:
-        out *= 1.0 - cmath.exp(2j * cmath.pi * t)
+    for e in action.elements[g]:
+        out *= 1.0 - cmath.exp(2j * cmath.pi * (e / n))
     return out
 
 
@@ -75,18 +76,14 @@ def b_coefficient(point: SingularPoint) -> BCoefficient:
     order = action.order
     if order == 1:
         return BCoefficient(value=0.0, exact=Fraction(0), imag_residual=0.0)
-    inverse_of = {}
-    zero = tuple(Fraction(0) for _ in range(action.dim))
+    n = action.denominator
     index_of = {e: i for i, e in enumerate(action.elements)}
-    for i, e in enumerate(action.elements):
-        inv = tuple((zero[j] - e[j]) % 1 for j in range(action.dim))
-        inverse_of[i] = index_of[inv]
     total = 0.0 + 0.0j
     done = set()
-    for g in range(order):
-        if action.elements[g] == zero or g in done:
+    for g in range(1, order):  # element 0 is the identity
+        if g in done:
             continue
-        ginv = inverse_of[g]
+        ginv = index_of[tuple(-e % n for e in action.elements[g])]
         done.add(g)
         if ginv == g:
             total += 1.0 / _det_factor(action, g)
@@ -99,29 +96,12 @@ def b_coefficient(point: SingularPoint) -> BCoefficient:
     if imag >= 1e-12:
         raise AssertionError(f"b coefficient imaginary part {imag} too large")
     exact = None
-    if action.dim == 1 and len(action.generators) <= 1:
+    if action.dim == 1 and len(action.moduli) <= 1:
         # cyclic in dimension one: classical value (d-1)/(2d)
         exact = Fraction(order - 1, 2 * order)
         if abs(total.real - float(exact)) >= 1e-12:
             raise AssertionError("complex sum disagrees with exact certificate")
     return BCoefficient(value=total.real, exact=exact, imag_residual=imag)
-
-
-def det_positivity_check(point: SingularPoint) -> list[float]:
-    """det(I-g|T) det(I-g^{-1}|T) per nontrivial g; each must be real positive."""
-    action = point.action
-    zero = tuple(Fraction(0) for _ in range(action.dim))
-    index_of = {e: i for i, e in enumerate(action.elements)}
-    out = []
-    for g in range(action.order):
-        if action.elements[g] == zero:
-            continue
-        inv = tuple((Fraction(0) - t) % 1 for t in action.elements[g])
-        prod = _det_factor(action, g) * _det_factor(action, index_of[inv])
-        if abs(prod.imag) >= 1e-12 or prod.real <= 0:
-            raise AssertionError(f"paired determinant {prod} not positive real")
-        out.append(prod.real)
-    return out
 
 
 def _s_value(d: int, j: np.ndarray) -> np.ndarray:
@@ -191,11 +171,3 @@ def rrk_euler_characteristic(model: OrbifoldModel, ms) -> list[IndexReport]:
     return [IndexReport(kind=model.kind, power=m, corrections=c, total=Fraction(n, den),
                         dimension_oracle=o)
             for m, c, n, o in zip(ms, corrections, total.tolist(), oracles)]
-
-
-def classical_cyclic_sum(n: int) -> tuple[float, float]:
-    """(sum_k 1/(1-zeta^k), exact (n-1)/2) for the order-n roots of unity."""
-    total = sum(1.0 / (1.0 - cmath.exp(2j * cmath.pi * k / n)) for k in range(1, n))
-    if abs(total.imag) >= 1e-12:
-        raise AssertionError("classical sum should be real")
-    return total.real, (n - 1) / 2.0

@@ -165,9 +165,8 @@ def build_wpl(d0: int, d1: int) -> OrbifoldModel:
 
 def build_cone(action: GroupAction) -> OrbifoldModel:
     """Local model C^n / G: its singular point, no global sections."""
-    for g in range(1, action.order):
-        if any(t == 0 for t in action.elements[g]):
-            raise ModelSpecError("action has a fixed direction: singularity not isolated")
+    if any(0 in e for e in action.elements[1:]):  # element 0 is the identity
+        raise ModelSpecError("action has a fixed direction: singularity not isolated")
     point = SingularPoint(
         chart_id="u0",
         group_order=action.order,

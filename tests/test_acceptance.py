@@ -25,10 +25,12 @@ from orbk.bergman import (
 )
 from orbk.errors import NoiseFloorError
 from orbk.groups import GroupAction
-from orbk.index import b_coefficient, classical_cyclic_sum, rrk_euler_characteristic
+from orbk.index import b_coefficient, rrk_euler_characteristic
 from orbk.localmodel import ModelGrid, check_identities, default_suite, phase_critical_data
 from orbk.models import build_football, build_wpl
 from orbk.sections import RadialBump, build_section_space
+
+from group_oracles import classical_cyclic_sum
 
 
 def _report(name, detail, t0, budget):

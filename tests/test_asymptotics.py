@@ -1,4 +1,6 @@
+import fractions
 import itertools
+import json
 import math
 import sys
 
@@ -17,10 +19,12 @@ from orbk.asymptotics import (
 from orbk.bergman import football_density_closed_form
 from orbk.errors import ModelSpecError, NoiseFloorError, OrbkError, UnsupportedModelError
 from orbk.cli import main
-from orbk.groups import MAX_DEGREE, GroupAction, is_invariant
+from orbk.groups import MAX_DEGREE, GroupAction
 from orbk.models import build_football, build_wpl
 from orbk.quadrature import QuadratureRule
 from orbk.sections import RadialBump, build_section_space
+
+from group_oracles import is_invariant, reference_character_sum_bound
 
 
 def test_fit_smooth_model_is_exact():
@@ -227,6 +231,50 @@ def test_character_bound_matches_sequential_reference():
         assert orbit == pytest.approx(invariant, rel=1e-10)
 
 
+def _charsum_draws(seed, cases):
+    """(action, z, m) of each case, drawn as `orbk charsum --seed seed` draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        dim = int(rng.integers(1, 4))
+        order = int(rng.integers(2, 13))
+        action = GroupAction.cyclic(order, [int(w) for w in rng.integers(0, order, size=dim)])
+        z = [complex(a, b) for a, b in rng.normal(0, 0.7, size=(dim, 2))]
+        yield action, z, int(rng.integers(1, 51))
+
+
+def test_character_bound_equals_the_reference_on_the_cli_cases(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["charsum", "--seed", "0", "--out", "r.json"])
+    assert result.exit_code == 0, result.output
+    rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    for row, (action, z, m) in zip(rows, _charsum_draws(0, 100), strict=True):
+        assert (row["dim"], row["m"]) == (action.dim, m)
+        assert ((row["orbit_sum"], row["invariant_sum"])
+                == reference_character_sum_bound(action, z, m))
+
+
+def test_character_bound_equals_the_reference_on_drawn_cases():
+    # cyclic and two-generator groups; some z_j = 0, now and then z = 0
+    rng = np.random.default_rng(12)
+    drawn = []
+    while len(drawn) < 200:
+        dim = int(rng.integers(1, 4))
+        gens = [(int(q), [int(w) for w in rng.integers(0, q, size=dim)])
+                for q in rng.integers(2, 13, size=int(rng.integers(1, 3)))]
+        action = GroupAction.from_integers(dim, gens)
+        if action.order > 24:  # past the desk-scale guard
+            continue
+        z = [complex(a, b) for a, b in rng.normal(0, 0.7, size=(dim, 2))]
+        if len(drawn) % 3 == 0:
+            z[int(rng.integers(0, dim))] = 0j
+        if len(drawn) % 25 == 0:
+            z = [0j] * dim
+        m = int(rng.integers(0, 61))
+        assert character_sum_bound(action, z, m) == reference_character_sum_bound(action, z, m)
+        drawn.append(action)
+    assert sum(len(a.moduli) == 2 and a.order > max(a.moduli) for a in drawn) >= 20
+
+
 def test_character_bound_at_declared_corner():
     # dim 3, order 24, m = 200: the lattice is split into blocks
     z = [0.1 + 0.02j, 0.05j, -0.08 + 0.03j]
@@ -240,16 +288,21 @@ def test_character_bound_at_declared_corner():
 
 
 def test_hot_paths_leave_the_fraction_oracle_alone(monkeypatch, tmp_path):
+    # the exact oracles live with the tests; the library's group code and the
+    # checks built on it make no Fraction at all
     def forbidden(*args, **kwargs):
-        raise AssertionError("the exact Fraction oracle was called on a hot path")
+        raise AssertionError("a Fraction was made on a hot path")
 
     for module in [mod for name, mod in sys.modules.items() if name.startswith("orbk")]:
         for name in ("is_invariant", "character_phase", "character_sum"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+            assert not hasattr(module, name)
+    monkeypatch.setattr(fractions.Fraction, "__new__", forbidden)
     space = build_section_space(build_football(2), MAX_DEGREE)
     assert space.dim == MAX_DEGREE // 2 + 1
     monkeypatch.chdir(tmp_path)
     result = CliRunner().invoke(main, ["charsum", "--cases", "100"])
     assert result.exit_code == 0, result.output
     assert "PASS charsum: 100 cases" in result.output
+    cone = '{"kind":"cone","group":{"order":9973,"weights":[1,2]}}'
+    result = CliRunner().invoke(main, ["bcoef", "--model", cone])
+    assert result.exit_code == 0, result.output

@@ -211,6 +211,15 @@ def test_rrk_at_large_group_orders_over_a_range(runner, tmp_path):
     assert len(report["rows"]) == 201 and all(row["match"] for row in report["rows"])
 
 
+def test_bcoef_at_a_large_cone_order(runner, tmp_path):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["bcoef", "--model",
+                                  '{"kind":"cone","group":{"order":9973,"weights":[1,2]}}'])
+    assert time.perf_counter() - start < 0.5
+    assert result.exit_code == 0, result.output
+    assert "PASS bcoef" in result.output
+
+
 def test_charsum_deterministic_seed(runner, tmp_path):
     r1 = runner.invoke(main, ["charsum", "--cases", "5", "--out", "c1.json"])
     r2 = runner.invoke(main, ["charsum", "--cases", "5", "--out", "c2.json"])
@@ -305,6 +314,11 @@ def test_no_degree_left_fails_on_m_field(runner, command):
     # a bad degree anywhere in a range fails the whole range
     (["rrk", "--n", "2", "--m", "5:-1:-1"], "m"),
     (["rrk", "--n", "2", "--m", "9999:10001"], "m"),
+    # groups past the order bound: one generator of order 1000000007, two of 101 * 103
+    (["bcoef", "--model", '{"kind":"cone","group":{"order":1000000007,"weights":[1,2]}}'],
+     "model"),
+    (["bcoef", "--model", '{"kind":"cone","group":[{"order":101,"weights":[1,2]},'
+                          '{"order":103,"weights":[3,1]}]}'], "model"),
 ])
 def test_invalid_value_fails_on_its_field(runner, args, field):
     result = runner.invoke(main, args)

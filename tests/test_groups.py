@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,61 +8,90 @@ import pytest
 
 from orbk import groups
 from orbk.errors import ModelSpecError
-from orbk.groups import (
-    MAX_DEGREE,
-    GroupAction,
-    character_sum,
-    character_value,
-    invariant_counts,
-    invariant_monomials,
-    is_invariant,
-)
+from orbk.groups import (MAX_DEGREE, MAX_ORDER, GroupAction, invariant_counts,
+                         invariant_monomials)
 from orbk.models import build_football, build_wpl
+
+from group_oracles import (character_sum, character_value, fraction_closure, from_generators,
+                           is_invariant)
 
 
 def test_cyclic_basic_structure():
     g = GroupAction.cyclic(4, [1, 3])
     assert g.order == 4
     assert g.dim == 2
+    assert g.denominator == 4
     for elem in g.elements:
         for x in elem:
-            assert isinstance(x, Fraction)
-            assert 0 <= x < 1
+            assert type(x) is int
+            assert 0 <= x < g.denominator
 
 
 def test_closure_exhaustive_small_orders():
-    # elements form a group under componentwise addition mod 1
+    # elements form a group under componentwise addition mod N
     for order in range(2, 13):
         g = GroupAction.cyclic(order, [1, order - 1, 2])
         elems = set(g.elements)
         assert len(elems) == g.order
         for a, b in itertools.product(g.elements, repeat=2):
-            s = tuple((x + y) % 1 for x, y in zip(a, b))
+            s = tuple((x + y) % g.denominator for x, y in zip(a, b))
             assert s in elems
 
 
 def test_from_generators_matches_cyclic():
     gen = (Fraction(1, 6), Fraction(5, 6))
-    g = GroupAction.from_generators(2, [gen])
+    g = from_generators(2, [gen])
     assert g.order == 6
-    assert set(g.elements) == set(GroupAction.cyclic(6, [1, 5]).elements)
+    assert g == GroupAction.cyclic(6, [1, 5])
+
+
+def test_generators_are_held_reduced():
+    # e^{2 pi i (3, 6, -3) / 12} = e^{2 pi i (1, 2, 3) / 4}: weights mod q over the order
+    g = GroupAction.cyclic(12, [3, 6, -3])
+    assert (g.weights, g.moduli, g.denominator, g.order) == (((1, 2, 3),), (4,), 4, 4)
+    assert GroupAction.cyclic(5, [10]).moduli == (1,)  # the identity generates the trivial group
+    h = GroupAction.from_spec([{"order": 4, "weights": [1, 0]}, {"order": 6, "weights": [0, 2]}])
+    assert (h.weights, h.moduli, h.denominator, h.order) == (((1, 0), (0, 1)), (4, 3), 12, 12)
+    assert h.elements == tuple((3 * a, 4 * b) for a in range(4) for b in range(3))
+    assert GroupAction.trivial(2).elements == ((0, 0),)
+    rng = np.random.default_rng(9)
+    for _ in range(200):  # the reduction agrees with reducing the rotation numbers
+        q, w = int(rng.integers(1, 40)), [int(x) for x in rng.integers(-50, 50, 3)]
+        assert GroupAction.cyclic(q, w) == from_generators(3, [[Fraction(x, q) for x in w]])
+
+
+def test_group_order_bound():
+    assert GroupAction.cyclic(MAX_ORDER, [1]).order == MAX_ORDER
+    start = time.perf_counter()
+    for build in (lambda: GroupAction.cyclic(1_000_000_007, [1, 2]),  # N past the bound
+                  lambda: GroupAction.cyclic(MAX_ORDER + 1, [1]),
+                  lambda: GroupAction.from_spec([{"order": 101, "weights": [1, 2]},
+                                                 {"order": 103, "weights": [3, 1]}]),
+                  # N = 101 but 101^2 elements: refused while they are listed
+                  lambda: GroupAction.from_spec([{"order": 101, "weights": [1, 0]},
+                                                 {"order": 101, "weights": [0, 1]}])):
+        with pytest.raises(ModelSpecError, match="exceeds supported order"):
+            build()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_identity_character_is_one():
     g = GroupAction.cyclic(5, [2, 3])
-    ident = g.elements.index(tuple([Fraction(0)] * 2))
+    ident = g.elements.index((0, 0))
     assert character_value(g, ident, (7, 11)) == 1
 
 
 def test_mu2_sign_flip():
     g = GroupAction.cyclic(2, [1])
-    flip = g.elements.index((Fraction(1, 2),))
+    assert g.denominator == 2
+    flip = g.elements.index((1,))
     assert character_value(g, flip, (3,)) == pytest.approx(-1)
 
 
 def test_mu3_phase_sum():
     g = GroupAction.cyclic(3, [1, 2])
-    gen = g.elements.index((Fraction(1, 3), Fraction(2, 3)))
+    assert g.denominator == 3
+    gen = g.elements.index((1, 2))
     assert character_value(g, gen, (1, 1)) == pytest.approx(1)
 
 
@@ -162,7 +192,7 @@ def _random_actions(seed, count):
             order = int(rng.integers(2, 13))
             gens.append([Fraction(int(w), order) for w in rng.integers(0, order, size=dim)])
         weights = None if rng.random() < 0.5 else tuple(int(w) for w in rng.integers(1, 4, dim))
-        yield GroupAction.from_generators(dim, gens), int(rng.integers(0, 31)), weights
+        yield from_generators(dim, gens), int(rng.integers(0, 31)), weights
 
 
 def test_invariant_monomials_match_fraction_oracle_on_random_actions():
@@ -174,6 +204,21 @@ def test_invariant_monomials_match_fraction_oracle_on_random_actions():
 MODELS = {f"football{n}": (build_football, (n,)) for n in range(1, 8)}
 MODELS.update({f"wpl{d0}_{d1}": (build_wpl, (d0, d1)) for d0, d1 in [(1, 2), (2, 3), (3, 5),
                                                                      (2, 7)]})
+
+
+def _catalog_groups():
+    for build, args in MODELS.values():
+        model = build(*args)
+        yield from (chart.group for chart in model.charts)
+        yield model.basis_action
+
+
+def test_elements_match_the_fraction_closure():
+    actions = [action for action, _, _ in _random_actions(seed=5, count=120)]
+    for action in actions + list(_catalog_groups()):
+        as_fractions = tuple(tuple(Fraction(e, action.denominator) for e in element)
+                             for element in action.elements)
+        assert as_fractions == fraction_closure(action)  # the same elements in the same order
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -236,7 +281,7 @@ def test_invariant_counts_keep_the_order_of_the_degrees(degrees):
 
 
 def test_invariant_counts_chunks_end_inside_a_degree_list(monkeypatch):
-    action, weights = GroupAction.from_generators(
+    action, weights = from_generators(
         3, [[Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)]]), (1, 2, 1)
     # plain counts 55, 10, 120, 1, 45, 45, 78, 3, 105: with 50 rows a chunk, the
     # small ones share chunks and the others are counted over lattice_blocks

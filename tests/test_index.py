@@ -6,14 +6,10 @@ import pytest
 
 from orbk import index
 from orbk.groups import GroupAction
-from orbk.index import (
-    b_coefficient,
-    classical_cyclic_sum,
-    det_positivity_check,
-    point_correction,
-    rrk_euler_characteristic,
-)
+from orbk.index import b_coefficient, point_correction, rrk_euler_characteristic
 from orbk.models import SingularPoint, build_football, build_wpl
+
+from group_oracles import classical_cyclic_sum, det_positivity_check, fraction_b_coefficient
 
 
 def _free_point(action):
@@ -73,6 +69,31 @@ def test_det_positivity_pairs():
     action5 = GroupAction.cyclic(5, [1, 2])
     point5 = SingularPoint("u0", 5, (1, 2), 0, action5)
     assert all(p > 0 for p in det_positivity_check(point5))
+
+
+def _cone_point(spec):
+    action = GroupAction.from_spec(spec)
+    return SingularPoint("u0", action.order, (), 0, action)
+
+
+B_POINTS = {f"football{n}-{p.chart_id}": p for n in range(2, 13)
+            for p in build_football(n).singular_points}
+B_POINTS.update({f"wpl{d0}_{d1}-{p.chart_id}": p for d0, d1 in [(1, 2), (2, 3), (3, 5), (2, 7),
+                                                                 (11, 13)]
+                 for p in build_wpl(d0, d1).singular_points})
+B_POINTS.update({
+    "cone12": _cone_point({"order": 12, "weights": [1, 5, 7]}),
+    "cone9973": _cone_point({"order": 9973, "weights": [1, 2]}),
+    "cone97x101": _cone_point([{"order": 97, "weights": [1, 2]},
+                               {"order": 101, "weights": [3, 1]}]),
+})
+
+
+@pytest.mark.parametrize("name", B_POINTS)
+def test_b_coefficient_equals_the_fraction_reference(name):
+    point = B_POINTS[name]
+    b = b_coefficient(point)
+    assert (b.value, b.exact, b.imag_residual) == fraction_b_coefficient(point.action)
 
 
 @pytest.mark.parametrize("n", range(2, 51))

@@ -2,7 +2,6 @@ import pytest
 
 from orbk.errors import ModelSpecError, UnsupportedModelError
 from orbk.groups import GroupAction
-from orbk.index import det_positivity_check
 from orbk.models import (
     build_cone,
     build_football,
@@ -10,6 +9,8 @@ from orbk.models import (
     build_wpl,
 )
 from orbk.sections import build_section_space
+
+from group_oracles import det_positivity_check
 
 
 def test_football_three_has_two_singular_points():
